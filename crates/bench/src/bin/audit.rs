@@ -63,12 +63,10 @@
 //! scales the measured makespans (for testing the gate itself).
 
 use std::process::ExitCode;
-use std::time::Duration;
 
-use sigmavp::dispatcher::{DispatchStats, DispatchedSigmaVp};
+use sigmavp::dispatcher::{DispatchStats, DispatchedSigmaVp, LiveReport};
 use sigmavp::host::{JobRecord, RecordKind};
 use sigmavp::session::DeviceOutcome;
-use sigmavp::threaded::ThreadedReport;
 use sigmavp::{plan_device, DevicePlan, RetryPolicy};
 use sigmavp_fault::{FaultPlan, LinkFaultConfig};
 use sigmavp_gpu::GpuArch;
@@ -83,10 +81,9 @@ use sigmavp_obs::{
 use sigmavp_sched::{ExecTier, Pipeline, Policy};
 use sigmavp_telemetry::export::escape_json;
 use sigmavp_telemetry::{job_uid_seq, job_uid_vp};
-use sigmavp_vp::error::VpError;
 use sigmavp_vp::registry::KernelRegistry;
-use sigmavp_workloads::app::{download, p, pi, upload, AppEnv, Application};
-use sigmavp_workloads::apps::VectorAddApp;
+use sigmavp_workloads::app::Application;
+use sigmavp_workloads::apps::{CopyStream, StaggeredAdd, VectorAddApp};
 
 const DEFAULT_BASELINE: &str = "results/baselines/audit.json";
 const DEFAULT_OUT: &str = "BENCH_audit.json";
@@ -303,7 +300,7 @@ fn chaos_fleet(
     arch: &GpuArch,
     plan: Option<FaultPlan>,
     tier: ExecTier,
-) -> (ThreadedReport, DispatchStats) {
+) -> (LiveReport, DispatchStats) {
     let app = VectorAddApp { n: 2048 };
     let registry: KernelRegistry = app.kernels().into_iter().collect();
     let mut sys = DispatchedSigmaVp::new(
@@ -428,91 +425,6 @@ fn run_sync(arch: &GpuArch, tier: ExecTier) -> Result<DispatchStats, String> {
         ));
     }
     Ok(a)
-}
-
-/// A vector-add guest with configurable wall-clock stalls around its
-/// synchronous launches, used by the liveness scenarios: `pre_ms` delays the
-/// first launch (staggers arrival against other VPs), `mid_ms` wedges the VP
-/// between launches (exercises the hung-VP watchdog), `post_ms` keeps the
-/// guest connected after its last request (pins the quorum denominator so a
-/// later partial flush stays a *quorum* flush, not a lone-survivor full one).
-struct StaggeredAdd {
-    n: u64,
-    launches: u32,
-    pre_ms: u64,
-    mid_ms: u64,
-    post_ms: u64,
-}
-
-impl Application for StaggeredAdd {
-    fn name(&self) -> &str {
-        "staggeredAdd"
-    }
-    fn kernels(&self) -> Vec<sigmavp_sptx::KernelProgram> {
-        vec![sigmavp_workloads::kernels::vector_add()]
-    }
-    fn characteristics(&self) -> sigmavp_workloads::AppTraits {
-        sigmavp_workloads::AppTraits::pure_cuda()
-    }
-    fn run_once(&self, env: &mut AppEnv<'_>) -> Result<(), VpError> {
-        let n = self.n;
-        let ones = vec![1u8; (n * 4) as usize];
-        let mut cuda = env.cuda();
-        let da = upload(&mut cuda, &ones)?;
-        let db = upload(&mut cuda, &ones)?;
-        let dc = cuda.malloc(n * 4)?;
-        if self.pre_ms > 0 {
-            std::thread::sleep(Duration::from_millis(self.pre_ms));
-        }
-        for launch in 0..self.launches {
-            cuda.launch_sync(
-                "vector_add",
-                n.div_ceil(256) as u32,
-                256,
-                &[p(da), p(db), p(dc), pi(n as i64)],
-            )?;
-            if self.mid_ms > 0 && launch + 1 < self.launches {
-                std::thread::sleep(Duration::from_millis(self.mid_ms));
-            }
-        }
-        download(&mut cuda, dc)?;
-        for buf in [da, db, dc] {
-            cuda.free(buf)?;
-        }
-        if self.post_ms > 0 {
-            std::thread::sleep(Duration::from_millis(self.post_ms));
-        }
-        Ok(())
-    }
-}
-
-/// A guest that only moves bytes: it never launches, so it never holds, and
-/// its steady frame stream advances the dispatcher's simulated `sim_now`
-/// clock past a held window's timeout while keeping the full-house flush
-/// predicate unreachable.
-struct CopyStream {
-    iterations: u32,
-}
-
-impl Application for CopyStream {
-    fn name(&self) -> &str {
-        "copyStream"
-    }
-    fn kernels(&self) -> Vec<sigmavp_sptx::KernelProgram> {
-        vec![]
-    }
-    fn characteristics(&self) -> sigmavp_workloads::AppTraits {
-        sigmavp_workloads::AppTraits::pure_cuda()
-    }
-    fn run_once(&self, env: &mut AppEnv<'_>) -> Result<(), VpError> {
-        let mut cuda = env.cuda();
-        for _ in 0..self.iterations {
-            let buf = upload(&mut cuda, &[7u8; 4096])?;
-            download(&mut cuda, buf)?;
-            cuda.free(buf)?;
-        }
-        Ok(())
-    }
 }
 
 /// The deterministic window ledgers of the three `--sync` liveness scenarios

@@ -16,7 +16,6 @@ use sigmavp_ipc::codec;
 use sigmavp_ipc::message::{Envelope, Request, Response, VpId, WireParam};
 use sigmavp_ipc::transport::TransportCost;
 use sigmavp_vp::error::VpError;
-use sigmavp_vp::platform::SimClock;
 use sigmavp_vp::service::GpuService;
 
 use crate::host::HostRuntime;
@@ -40,30 +39,14 @@ pub struct MultiplexedGpu {
     cost: TransportCost,
     seq: u64,
     ipc: IpcStats,
-    clock: SimClock,
 }
 
 impl MultiplexedGpu {
     /// Connect VP `vp` to a shared host runtime over a transport with the given
-    /// cost model. Requests are stamped from a zeroed clock until
-    /// [`with_clock`](MultiplexedGpu::with_clock) attaches the VP's.
+    /// cost model. Requests are stamped at simulated time zero: the scenario
+    /// engine that drives this backend prices timing offline.
     pub fn new(vp: VpId, runtime: Arc<Mutex<HostRuntime>>, cost: TransportCost) -> Self {
-        MultiplexedGpu {
-            vp,
-            runtime,
-            cost,
-            seq: 0,
-            ipc: IpcStats::default(),
-            clock: SimClock::new(),
-        }
-    }
-
-    /// Stamp outgoing requests' `sent_at_s` from the given simulated clock
-    /// (normally the owning [`VirtualPlatform`](sigmavp_vp::VirtualPlatform)'s
-    /// [`clock_handle`](sigmavp_vp::VirtualPlatform::clock_handle)).
-    pub fn with_clock(mut self, clock: SimClock) -> Self {
-        self.clock = clock;
-        self
+        MultiplexedGpu { vp, runtime, cost, seq: 0, ipc: IpcStats::default() }
     }
 
     /// IPC accounting for this VP so far.
@@ -77,7 +60,7 @@ impl MultiplexedGpu {
         let envelope = Envelope {
             vp: self.vp,
             seq: self.seq,
-            sent_at_s: self.clock.now_s(),
+            sent_at_s: 0.0,
             deadline_s: f64::INFINITY,
             body,
         };

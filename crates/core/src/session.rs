@@ -3,7 +3,7 @@
 //!
 //! The paper's framework "multiplexes the host GPUs": a host with several
 //! devices spreads the VPs across them. [`ExecutionSession`] is that ownership
-//! layer. The scenario engine, the threaded runtime, the dispatcher runtime,
+//! layer. The scenario engine, the engine shard behind both live runtimes,
 //! and the Table 1 paths all build one, so multi-GPU routing, record keeping,
 //! and planner integration live in exactly one place:
 //!
@@ -91,11 +91,6 @@ impl ExecutionSession {
     /// Architecture of device `d`.
     pub fn arch(&self, d: usize) -> &GpuArch {
         &self.devices[d].arch
-    }
-
-    /// The transport cost model VPs connect through.
-    pub fn transport(&self) -> TransportCost {
-        self.transport
     }
 
     /// Shared handle to device `d`'s host runtime (for runtimes that drive the
@@ -363,30 +358,13 @@ impl SessionOutcome {
     /// anyone re-deriving waits from trace spans. Deterministic for a
     /// deterministic job log (it reads the planned timelines, not wall clocks).
     pub fn queue_wait_by_vp(&self) -> Vec<(VpId, VpQueueWait)> {
-        let mut by_vp: HashMap<VpId, VpQueueWait> = HashMap::new();
-        for device in &self.devices {
-            for (vp, wait_s) in device.queue_waits() {
-                let entry = by_vp.entry(vp).or_default();
-                entry.jobs += 1;
-                entry.total_s += wait_s;
-                entry.max_s = entry.max_s.max(wait_s);
-            }
-        }
-        let mut out: Vec<(VpId, VpQueueWait)> = by_vp.into_iter().collect();
-        out.sort_by_key(|(vp, _)| vp.0);
-        out
+        queue_wait_by_vp(&self.devices)
     }
 
     /// The p99 (nearest-rank) of per-VP *worst* queue waits — the fleet
     /// starvation gate's number. Zero for an empty session.
     pub fn p99_queue_wait_s(&self) -> f64 {
-        let mut worst: Vec<f64> = self.queue_wait_by_vp().iter().map(|(_, w)| w.max_s).collect();
-        if worst.is_empty() {
-            return 0.0;
-        }
-        worst.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let rank = (worst.len() * 99).div_ceil(100);
-        worst[rank - 1]
+        p99_worst_wait(&self.queue_wait_by_vp())
     }
 
     /// Every device's job-uid-stamped trace events, concatenated in device
@@ -397,6 +375,37 @@ impl SessionOutcome {
     pub fn trace_events(&self) -> Vec<sigmavp_telemetry::TraceEvent> {
         self.devices.iter().flat_map(DeviceOutcome::trace_events).collect()
     }
+}
+
+/// Per-VP simulated queue waits over `devices` (one session's, or every
+/// session's of a fleet), in ascending VP order.
+pub fn queue_wait_by_vp<'a>(
+    devices: impl IntoIterator<Item = &'a DeviceOutcome>,
+) -> Vec<(VpId, VpQueueWait)> {
+    let mut by_vp: HashMap<VpId, VpQueueWait> = HashMap::new();
+    for device in devices {
+        for (vp, wait_s) in device.queue_waits() {
+            let entry = by_vp.entry(vp).or_default();
+            entry.jobs += 1;
+            entry.total_s += wait_s;
+            entry.max_s = entry.max_s.max(wait_s);
+        }
+    }
+    let mut out: Vec<(VpId, VpQueueWait)> = by_vp.into_iter().collect();
+    out.sort_by_key(|(vp, _)| vp.0);
+    out
+}
+
+/// The p99 (nearest-rank) of the per-VP worst waits in `waits`; zero when
+/// empty.
+pub fn p99_worst_wait(waits: &[(VpId, VpQueueWait)]) -> f64 {
+    let mut worst: Vec<f64> = waits.iter().map(|(_, w)| w.max_s).collect();
+    if worst.is_empty() {
+        return 0.0;
+    }
+    worst.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    let rank = (worst.len() * 99).div_ceil(100);
+    worst[rank - 1]
 }
 
 #[cfg(test)]

@@ -31,8 +31,8 @@ pub mod transport;
 
 pub use plan::{FaultPlan, LinkDirection, LinkFault, LinkFaultConfig, LinkFaults, Outage};
 pub use supervise::{
-    journal_live_identity, replay_journal, replay_journal_reusing, BreakerState, CircuitBreaker,
-    DedupCache, HandleMap, JournalEntry, VpJournal,
+    journal_live_identity, replay_journal_reusing, BreakerState, CircuitBreaker, DedupCache,
+    HandleMap, JournalEntry, VpJournal,
 };
 pub use transport::{DropNotice, FaultyTransport};
 

@@ -371,53 +371,22 @@ impl HandleMap {
     }
 }
 
-/// Replay a VP's journal onto a surviving device, building the guest→device
+/// Replay a VP's journal onto a device, building the guest→device
 /// [`HandleMap`] as allocations land.
 ///
-/// `process` executes one translated request on the survivor and returns its
+/// `process` executes one translated request on the target and returns its
 /// response; it also receives the entry's original sequence number so callers
 /// can attribute the replayed work to the original job. Returns the finished
-/// map, or `Err(message)` if the survivor rejected a replayed operation.
-pub fn replay_journal(
-    journal: &VpJournal,
-    mut process: impl FnMut(u64, &Request) -> Response,
-) -> Result<HandleMap, String> {
-    let mut map = HandleMap::new();
-    for entry in journal.entries() {
-        let translated = map
-            .translate(&entry.request)
-            .map_err(|h| format!("replay references unmapped handle {h}"))?;
-        let response = process(entry.seq, &translated);
-        match (&entry.request, &entry.response, &response) {
-            (
-                Request::Malloc { .. },
-                Response::Malloc { handle: guest },
-                Response::Malloc { handle: device },
-            ) => {
-                map.insert(*guest, *device);
-            }
-            (Request::Free { handle }, _, Response::Done) => {
-                map.remove(*handle);
-            }
-            (_, _, Response::Error { message }) => {
-                return Err(format!("replay failed: {message}"));
-            }
-            _ => {}
-        }
-    }
-    Ok(map)
-}
-
-/// Replay a VP's journal onto a device it has lived on before, reusing the
-/// allocations it left behind (DESIGN.md §12).
+/// map, or `Err(message)` if the target rejected a replayed operation.
 ///
-/// `retained` is the guest→device map snapshotted when the VP last migrated
-/// *away* from this device: those buffers were never freed, so a replayed
-/// `Malloc` whose guest handle is still retained is remapped in place instead
-/// of allocated a second time. Everything else — memcpys that restore current
-/// data, frees issued while the VP lived elsewhere, mallocs from later
-/// residencies — replays through `process` as usual. Without this, every
-/// A→B→A round trip doubles the VP's footprint on A.
+/// `retained` is the guest→device map snapshotted when the VP last left this
+/// device (empty for a first visit): those buffers were never freed, so a
+/// replayed `Malloc` whose guest handle is still retained is remapped in place
+/// instead of allocated a second time (DESIGN.md §12). Everything else —
+/// memcpys that restore current data, frees issued while the VP lived
+/// elsewhere, mallocs from later residencies — replays through `process` as
+/// usual. Without this, every A→B→A round trip doubles the VP's footprint
+/// on A.
 pub fn replay_journal_reusing(
     journal: &VpJournal,
     retained: &HandleMap,
@@ -594,7 +563,7 @@ mod tests {
 
         let mut seen = Vec::new();
         let mut seqs = Vec::new();
-        let map = replay_journal(&j, |seq, req| {
+        let map = replay_journal_reusing(&j, &HandleMap::new(), |seq, req| {
             seqs.push(seq);
             seen.push(req.clone());
             match req {
@@ -692,7 +661,9 @@ mod tests {
     fn replay_surfaces_survivor_errors() {
         let mut j = VpJournal::default();
         j.record(4, &Request::Malloc { bytes: 16 }, &Response::Malloc { handle: 7 });
-        let err = replay_journal(&j, |_, _| Response::Error { message: "oom".into() });
+        let err = replay_journal_reusing(&j, &HandleMap::new(), |_, _| Response::Error {
+            message: "oom".into(),
+        });
         assert!(err.is_err());
     }
 

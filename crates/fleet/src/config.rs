@@ -19,7 +19,10 @@ pub struct FleetConfig {
     pub arch: GpuArch,
     /// Transport cost model between guests and the fleet.
     pub transport: TransportCost,
-    /// Scheduling policy used when draining sessions at shutdown.
+    /// Scheduling policy of every session's shard: it plans sync windows
+    /// and prices the job logs at shutdown, and its live knobs drive sync
+    /// holds (quorum, window timeout), end-to-end deadlines, the hung-VP
+    /// watchdog and the SPTX tier.
     pub policy: Policy,
     /// Block-parallel worker count per host runtime (`1` = sequential,
     /// `0` = one worker per core).

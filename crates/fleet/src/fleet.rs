@@ -3,55 +3,55 @@
 //!
 //! # Architecture
 //!
-//! A [`Fleet`] owns `S` *shards*. Each shard is one
-//! [`ExecutionSession`] (its own host-GPU set and job logs) plus a FIFO job
-//! queue drained by a dedicated dispatcher thread — sessions share nothing, so
-//! fleet throughput scales with shards the way the paper's host-GPU
-//! multiplexing scales with devices.
+//! A [`Fleet`] owns `S` *lanes*. Each lane is one engine
+//! [`Shard`] — an [`ExecutionSession`] (its own host-GPU set and job logs)
+//! with everything that executes on it: held sync windows, the hung-VP
+//! watchdog, per-VP residency and device supervision — plus a FIFO request
+//! queue drained by a dedicated dispatcher thread. Lanes share nothing, so
+//! fleet throughput scales with sessions the way the paper's host-GPU
+//! multiplexing scales with devices. The dispatcher executes one queued job
+//! per pop, unplanned; synchronous launches under `sync_hold` park in the
+//! shard's window and flush through its planner.
 //!
-//! The *front door* serializes placement state behind one lock:
+//! The *front door* keeps everything about placement behind one lock:
 //!
 //! * **Admission** — [`Fleet::admit`] places a VP on the consistent-hash ring
 //!   ([`HashRing`]); [`Fleet::submit`] accepts one request per VP (guests are
 //!   synchronous) and *sheds* work with [`FleetError::Saturated`] once the
 //!   fleet-wide in-flight bound is hit — backpressure, not unbounded buffering.
 //! * **Stealing** — every `steal_interval` admissions the rebalancer compares
-//!   per-shard *submitted cost* (a pure function of the requests, so the same
-//!   admission sequence always plans the same steals) and marks the hottest
-//!   VPs for migration to the coolest shard.
+//!   per-session *submitted cost* (a pure function of the requests, so the
+//!   same admission sequence always plans the same steals) and marks the
+//!   hottest VPs for migration to the coolest session.
 //! * **Migration** — a marked VP moves at its next submit, when it provably
-//!   has no request in flight: its [`VpJournal`] is replayed into the target
-//!   session ([`replay_journal`]) and the resulting [`HandleMap`] translates
-//!   every subsequent request, exactly like PR 4's single-session failover —
-//!   generalized across sessions.
-//! * **Supervision** — [`Fleet::kill_session`] retires a shard from the ring,
-//!   drains its queued jobs, and re-homes them (journal replay + re-enqueue)
-//!   onto survivors; VPs that were idle migrate lazily at their next submit.
-//!   With no survivors left, requests fail with
-//!   [`FleetError::NoSurvivingSessions`].
+//!   has no request in flight: its shard residency is evicted from the source
+//!   and adopted by the target, which replays its journal — the same
+//!   relocation the shard uses to fail a VP over between devices.
+//! * **Supervision** — [`Fleet::kill_session`] retires a session from the
+//!   ring, drains its queued and held jobs, and re-homes them onto survivors;
+//!   VPs that were idle migrate lazily at their next submit. With no
+//!   survivors left, requests fail with [`FleetError::NoSurvivingSessions`].
 //!
-//! Lock order is `front → {shard queue, session, host runtime}`; dispatcher
-//! threads never hold a shard-side lock while taking the front lock, so the
-//! two sides cannot deadlock.
+//! Lock order is `front → {lane queue, shard}`, and a dispatcher takes its
+//! shard under its queue lock only to read the window; it never holds a
+//! lane-side lock while taking the front lock, so the two sides cannot
+//! deadlock.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
-use sigmavp::{ExecutionSession, SessionOutcome, VpQueueWait};
-use sigmavp_fault::{
-    journal_live_identity, replay_journal, replay_journal_reusing, HandleMap, VpJournal,
-};
+use sigmavp::session::{p99_worst_wait, queue_wait_by_vp};
+use sigmavp::{ExecutionSession, SessionOutcome, Shard, ShardJob, VpQueueWait};
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::message::{Envelope, Request, Response, ResponseEnvelope, VpId};
-use sigmavp_sched::{quorum_met, HashRing, Pipeline, Policy};
+use sigmavp_sched::HashRing;
 use sigmavp_telemetry::bus::{self, Incident, IncidentKind, ObsEvent};
 use sigmavp_telemetry::metrics::MetricsSnapshot;
-use sigmavp_telemetry::{job_uid, recorder, Lane, Telemetry, TimeDomain};
-use sigmavp_vp::error::format_deadline_violation;
+use sigmavp_telemetry::{job_uid, recorder, Lane as TraceLane, Telemetry, TimeDomain};
 use sigmavp_vp::registry::KernelRegistry;
 use sigmavp_vp::{DeadlineStage, VpError};
 
@@ -86,7 +86,7 @@ pub struct FleetStats {
     pub session_trips: u64,
     /// Queued jobs re-homed from a dead session onto survivors.
     pub rescued_jobs: u64,
-    /// Synchronous launches parked in a shard's sync window instead of
+    /// Synchronous launches parked in a session's sync window instead of
     /// executing immediately (sync-hold mode).
     pub sync_holds: u64,
     /// Sync windows flushed, whatever the trigger (full house, quorum,
@@ -109,23 +109,8 @@ pub struct FleetStats {
     pub readmitted: u64,
 }
 
-/// One in-flight request: the guest-space original (for journaling) and the
-/// device-space translation (for execution).
-#[derive(Debug)]
-struct FleetJob {
-    vp: VpId,
-    seq: u64,
-    guest: Request,
-    exec: Request,
-    sent_at_s: f64,
-    cost_s: f64,
-    /// Absolute simulated-time deadline ([`f64::INFINITY`] when deadlines are
-    /// off), stamped at admission as `sim_s + budget`.
-    deadline_s: f64,
-    enqueued_wall_s: f64,
-}
-
-/// Front-door view of one VP.
+/// Front-door view of one VP. Its residency (journal, handle maps) lives in
+/// the shard it is homed on.
 #[derive(Debug)]
 struct VpState {
     shard: usize,
@@ -133,24 +118,16 @@ struct VpState {
     /// Simulated guest clock: advances by submit cost + device time.
     sim_s: f64,
     outstanding: bool,
+    /// Submitted cost of the request in flight.
+    cost_s: f64,
     submitted_wall_s: f64,
     /// Set by the rebalancer; consumed at the VP's next submit.
     pending_target: Option<usize>,
-    journal: VpJournal,
-    /// Present once the VP has migrated at least once.
-    map: Option<HandleMap>,
-    /// Per visited session: the device the VP lived on there and the
-    /// guest→device map it left behind, so returning reuses those buffers
-    /// instead of allocating them again (DESIGN.md §12).
-    visited: HashMap<usize, (usize, HandleMap)>,
     /// Completed response awaiting [`Fleet::wait`], with its sim-time advance.
     mailbox: Option<(ResponseEnvelope, f64)>,
-    /// Quarantined by the hung-VP watchdog: submissions are shed and the VP
-    /// no longer counts toward its shard's sync quorum until readmitted.
+    /// Quarantined by the hung-VP watchdog: submissions are shed until
+    /// [`Fleet::readmit`].
     quarantined: bool,
-    /// Voluntarily retired ([`Fleet::retire`]): a finished guest that must
-    /// not hold up its shard's sync quorums.
-    retired: bool,
 }
 
 #[derive(Debug)]
@@ -167,6 +144,36 @@ struct FrontState {
     closed: bool,
 }
 
+impl FrontState {
+    /// Deliver a finished job: advance the VP's simulated clock and park the
+    /// response in its mailbox.
+    fn complete(&mut self, response: ResponseEnvelope) {
+        let rec = recorder();
+        let st = self.vps.get_mut(&response.vp).expect("completed job belongs to an admitted vp");
+        let device_s = match &response.body {
+            Response::Launched { device_time_s } => *device_time_s,
+            _ => 0.0,
+        };
+        let advance_s = st.cost_s + device_s;
+        st.sim_s += advance_s;
+        st.outstanding = false;
+        let now = rec.wall_now_s();
+        rec.span_for_job(
+            TimeDomain::Wall,
+            TraceLane::Vp(response.vp.0),
+            "fleet request",
+            st.submitted_wall_s,
+            (now - st.submitted_wall_s).max(0.0),
+            job_uid(response.vp.0, response.seq),
+        );
+        st.mailbox = Some((response, advance_s));
+        self.depth -= 1;
+        self.stats.completed += 1;
+        rec.count("fleet.completed", 1);
+        rec.gauge_set("fleet.depth", self.depth as f64);
+    }
+}
+
 #[derive(Debug)]
 struct Front {
     state: Mutex<FrontState>,
@@ -174,369 +181,167 @@ struct Front {
 }
 
 impl Front {
-    /// Deliver a finished job: virtualize handles for migrated VPs, journal
-    /// the guest-visible effect, advance the VP's simulated clock, and park
-    /// the response in the VP's mailbox.
-    fn complete(&self, job: FleetJob, mut response: ResponseEnvelope) {
-        let rec = recorder();
+    /// Deliver responses from a lane, and shed-mark the VPs its watchdog
+    /// quarantined.
+    fn deliver(&self, responses: impl IntoIterator<Item = ResponseEnvelope>, quarantined: &[VpId]) {
         let mut state = self.state.lock();
-        let st = state.vps.get_mut(&job.vp).expect("completed job belongs to an admitted vp");
-        if let Some(map) = st.map.as_mut() {
-            match (&job.guest, &mut response.body) {
-                (Request::Malloc { .. }, Response::Malloc { handle }) => {
-                    *handle = map.virtualize(*handle);
-                }
-                (Request::Free { handle }, Response::Done) => map.remove(*handle),
-                _ => {}
+        for response in responses {
+            state.complete(response);
+        }
+        for vp in quarantined {
+            if let Some(st) = state.vps.get_mut(vp) {
+                st.quarantined = true;
             }
         }
-        st.journal.record(job.seq, &job.guest, &response.body);
-        let device_s = match &response.body {
-            Response::Launched { device_time_s } => *device_time_s,
-            _ => 0.0,
-        };
-        let advance_s = job.cost_s + device_s;
-        st.sim_s += advance_s;
-        st.outstanding = false;
-        let now = rec.wall_now_s();
-        rec.span_for_job(
-            TimeDomain::Wall,
-            Lane::Vp(job.vp.0),
-            "fleet request",
-            st.submitted_wall_s,
-            (now - st.submitted_wall_s).max(0.0),
-            job_uid(job.vp.0, job.seq),
-        );
-        st.mailbox = Some((response, advance_s));
-        state.depth -= 1;
-        state.stats.completed += 1;
-        rec.count("fleet.completed", 1);
-        rec.gauge_set("fleet.depth", state.depth as f64);
         self.cv.notify_all();
     }
 
-    /// Record a flushed sync window and what triggered it.
-    fn note_window(&self, trigger: WindowTrigger) {
-        let rec = recorder();
-        let mut state = self.state.lock();
-        state.stats.sync_windows += 1;
-        rec.count("fleet.sync_windows", 1);
-        match trigger {
-            WindowTrigger::Quorum => {
-                state.stats.quorum_flushes += 1;
-                rec.count("fleet.quorum_flushes", 1);
-            }
-            WindowTrigger::Timeout => {
-                state.stats.timeout_flushes += 1;
-                rec.count("fleet.timeout_flushes", 1);
-            }
-            WindowTrigger::Full | WindowTrigger::Drain => {}
-        }
-    }
-
-    /// Complete a held job whose deadline expired before its window flushed:
-    /// a typed hold-stage violation instead of burning device time on a
-    /// result nobody can use in time.
-    fn refuse_hold_deadline(&self, job: FleetJob, now_s: f64) {
-        let rec = recorder();
-        self.state.lock().stats.deadline_misses += 1;
-        rec.count("fleet.deadline_misses", 1);
-        let message = format_deadline_violation(DeadlineStage::Hold, job.deadline_s, now_s);
-        let response = ResponseEnvelope {
-            vp: job.vp,
-            seq: job.seq,
-            sent_at_s: job.sent_at_s,
-            body: Response::Error { message },
-        };
-        self.complete(job, response);
-    }
-
-    /// The stall backstop fired on `shard`: quarantine every VP homed there
+    /// The stall backstop fired on `lane`: quarantine every VP homed there
     /// that is provably idle — nothing outstanding, nothing waiting in its
     /// mailbox — so the held window's quorum denominator shrinks and the
     /// window can flush. Held VPs are never victims (their request *is* the
-    /// window). Publishes a [`IncidentKind::VpHung`] incident per victim so an
-    /// installed flight recorder dumps a post-mortem.
-    fn quarantine_idle(&self, shard: &Shard) {
-        let rec = recorder();
-        let victims: Vec<VpId> = {
-            let mut state = self.state.lock();
-            let victims: Vec<VpId> = state
-                .vps
-                .iter()
-                .filter(|(_, st)| {
-                    st.shard == shard.index
-                        && !st.quarantined
-                        && !st.retired
-                        && !st.outstanding
-                        && st.mailbox.is_none()
-                })
-                .map(|(vp, _)| *vp)
-                .collect();
-            for vp in &victims {
-                state.vps.get_mut(vp).expect("victim is admitted").quarantined = true;
-            }
-            state.stats.quarantined_vps += victims.len() as u64;
-            victims
+    /// window).
+    fn quarantine_idle(&self, lane: &Lane) {
+        let mut state = self.state.lock();
+        let victims = {
+            let vps = &state.vps;
+            let idle =
+                |vp: VpId| vps.get(&vp).is_some_and(|st| !st.outstanding && st.mailbox.is_none());
+            lane.shard.lock().backstop(&idle)
         };
         for vp in &victims {
-            rec.count("fleet.quarantined_vps", 1);
-            bus::publish(&ObsEvent::Incident(Incident {
-                kind: IncidentKind::VpHung { vp: vp.0 },
-                wall_s: rec.wall_now_s(),
-                detail: format!(
-                    "vp{} made no progress while shard s{}'s sync window stalled; \
-                     quarantined from the quorum",
-                    vp.0, shard.index
-                ),
-            }));
-        }
-        if !victims.is_empty() {
-            let mut q = shard.queue.lock();
-            q.eligible = q.eligible.saturating_sub(victims.len());
-            shard.cv.notify_all();
+            state.vps.get_mut(vp).expect("victim is admitted").quarantined = true;
         }
     }
 }
 
+/// A request waiting in a lane's queue for its dispatcher.
+#[derive(Debug)]
+struct Queued {
+    envelope: Envelope,
+    enqueued_wall_s: f64,
+}
+
 #[derive(Debug, Default)]
-struct ShardQueue {
-    jobs: VecDeque<FleetJob>,
-    /// Synchronous launches parked for this shard's next sync window, kept in
-    /// canonical `(vp, seq)` order at insertion (one entry per VP: guests are
-    /// synchronous).
-    sync_held: Vec<FleetJob>,
-    /// Eligible quorum denominator: VPs homed here that are neither
-    /// quarantined nor retired. Maintained by the front under the
-    /// front → queue lock order.
-    eligible: usize,
-    /// Newest simulated timestamp submitted to this shard — the sync-window
-    /// timeout clock (simulated time, never the wall).
-    sim_now: f64,
-    /// The session died: the dispatcher drains the queue into `orphans`
-    /// and exits.
+struct LaneQueue {
+    jobs: VecDeque<Queued>,
+    /// The session died: the dispatcher drains queued and held jobs into
+    /// `orphans` and exits.
     down: bool,
     /// Admission-probe mode: the dispatcher parks without popping.
     held: bool,
     closed: bool,
     worker_done: bool,
-    orphans: Vec<FleetJob>,
+    orphans: Vec<Envelope>,
 }
 
+/// One session: its engine shard and the queue its dispatcher drains.
 #[derive(Debug)]
-struct Shard {
+struct Lane {
     index: usize,
-    session: Mutex<ExecutionSession>,
-    queue: Mutex<ShardQueue>,
+    shard: Mutex<Shard>,
+    queue: Mutex<LaneQueue>,
     cv: Condvar,
 }
 
-impl Shard {
+impl Lane {
     fn depth_gauge(&self) -> String {
         format!("fleet.s{}.queue_depth", self.index)
     }
-}
 
-/// What triggered a sync-window flush.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WindowTrigger {
-    /// Every eligible VP held a launch (lockstep — the legacy trigger).
-    Full,
-    /// The partial quorum was met before a full house.
-    Quorum,
-    /// The simulated-time window timeout expired.
-    Timeout,
-    /// Shutdown: the final window flushes whatever is still held so no job
-    /// is lost.
-    Drain,
+    /// Queue a request for this lane's dispatcher.
+    fn push(&self, envelope: Envelope) {
+        let rec = recorder();
+        let mut q = self.queue.lock();
+        q.jobs.push_back(Queued { envelope, enqueued_wall_s: rec.wall_now_s() });
+        rec.gauge_set(&self.depth_gauge(), q.jobs.len() as f64);
+        self.cv.notify_one();
+    }
+
+    /// Wake the dispatcher to re-evaluate its window (the quorum denominator
+    /// changed).
+    fn wake(&self) {
+        let _q = self.queue.lock();
+        self.cv.notify_all();
+    }
 }
 
 /// One unit of dispatcher work.
 enum Work {
-    /// An ordinary queued job.
-    One(FleetJob),
-    /// A flushed sync window (canonical `(vp, seq)` order) with its trigger
-    /// and the shard's simulated clock at the flush decision.
-    Window(Vec<FleetJob>, WindowTrigger, f64),
-    /// The wall-clock stall backstop fired while a window was held: ask the
-    /// front to quarantine idle VPs, then re-evaluate.
+    /// A queued request.
+    One(Queued),
+    /// A released sync window.
+    Window(Vec<ShardJob>),
+    /// The wall-clock stall backstop is due while a window is held.
     Stalled,
 }
 
-/// How long a dispatcher with a held sync window waits for progress before
-/// invoking the hung-VP watchdog. A *wall*-clock backstop, active only when
-/// `hang_windows > 0`: simulated time cannot advance on its own when the VP
-/// that would advance it is wedged, so liveness needs one real clock.
-const STALL_WALL_BACKSTOP: Duration = Duration::from_millis(500);
-
-/// The dispatcher loop: pop, execute on the shard's session, deliver. With
-/// sync-hold on, synchronous launches park in the shard's sync window and
-/// flush together on a full house, a partial quorum, or a simulated-time
-/// window timeout (DESIGN.md §15). Unlike the single-session dispatcher —
-/// which flushes exactly the quorum threshold and leaves the rest held — the
-/// fleet flushes *every* held job: shards are independent sessions, so there
-/// is no cross-shard planning benefit to withholding the stragglers.
-fn dispatch_loop(shard: Arc<Shard>, front: Arc<Front>, policy: Policy) {
-    let rec = recorder();
-    let quorum_pct = policy.sync_quorum_pct;
-    let timeout_s = policy.sync_timeout_s();
-    let watchdog = policy.sync_hold && policy.hang_windows > 0;
+/// The dispatcher loop: pop, run through the shard, deliver. Queued requests
+/// come first; with the queue empty the shard's window is released when a
+/// trigger fires (or drained at shutdown), and a held window with the
+/// watchdog armed waits at most until the stall backstop.
+fn dispatch_loop(lane: Arc<Lane>, front: Arc<Front>) {
     loop {
         let work = {
-            let mut q = shard.queue.lock();
+            let mut q = lane.queue.lock();
             loop {
                 if q.down {
+                    let held = lane.shard.lock().take_held();
                     let q = &mut *q;
-                    q.orphans.extend(q.jobs.drain(..));
-                    q.orphans.append(&mut q.sync_held);
+                    q.orphans.extend(q.jobs.drain(..).map(|j| j.envelope));
+                    q.orphans.extend(held.into_iter().map(|j| j.envelope));
                     q.worker_done = true;
-                    shard.cv.notify_all();
+                    lane.cv.notify_all();
                     return;
                 }
                 if !q.held {
                     if let Some(job) = q.jobs.pop_front() {
-                        rec.gauge_set(&shard.depth_gauge(), q.jobs.len() as f64);
+                        recorder().gauge_set(&lane.depth_gauge(), q.jobs.len() as f64);
                         break Work::One(job);
                     }
-                    if !q.sync_held.is_empty() {
-                        let held_vps = q.sync_held.len();
-                        let full = q.eligible > 0 && held_vps >= q.eligible;
-                        let quorum = !full
-                            && quorum_pct < 100
-                            && quorum_met(held_vps, q.eligible, quorum_pct);
-                        let window_open_s =
-                            q.sync_held.iter().map(|j| j.sent_at_s).fold(f64::INFINITY, f64::min);
-                        let timed_out = !full
-                            && !quorum
-                            && timeout_s.is_some_and(|limit| q.sim_now - window_open_s >= limit);
-                        if full || quorum || timed_out {
-                            let trigger = if full {
-                                WindowTrigger::Full
-                            } else if quorum {
-                                WindowTrigger::Quorum
-                            } else {
-                                WindowTrigger::Timeout
-                            };
-                            break Work::Window(
-                                std::mem::take(&mut q.sync_held),
-                                trigger,
-                                q.sim_now,
-                            );
-                        }
-                        if q.closed {
-                            break Work::Window(
-                                std::mem::take(&mut q.sync_held),
-                                WindowTrigger::Drain,
-                                q.sim_now,
-                            );
-                        }
-                        if watchdog {
-                            let stalled =
-                                shard.cv.wait_for(&mut q, STALL_WALL_BACKSTOP).timed_out();
-                            if stalled && !q.down && !q.held && q.jobs.is_empty() {
-                                break Work::Stalled;
-                            }
-                            continue;
-                        }
-                    } else if q.closed {
+                    let (window, stall) = {
+                        let mut shard = lane.shard.lock();
+                        (shard.take_window(q.closed), shard.stall_deadline())
+                    };
+                    if let Some(window) = window {
+                        break Work::Window(window);
+                    }
+                    if q.closed {
                         q.worker_done = true;
-                        shard.cv.notify_all();
+                        lane.cv.notify_all();
                         return;
                     }
+                    if let Some(at) = stall {
+                        let wait = at.saturating_duration_since(Instant::now());
+                        let timed_out = lane.cv.wait_for(&mut q, wait).timed_out();
+                        if timed_out && !q.down && !q.held && q.jobs.is_empty() {
+                            break Work::Stalled;
+                        }
+                        continue;
+                    }
                 }
-                shard.cv.wait(&mut q);
+                lane.cv.wait(&mut q);
             }
         };
 
         match work {
-            Work::One(job) => execute_one(&shard, &front, job),
-            Work::Window(window, trigger, flush_now_s) => {
-                debug_assert!(
-                    window.windows(2).all(|w| (w[0].vp.0, w[0].seq) < (w[1].vp.0, w[1].seq)),
-                    "sync window must flush in canonical (vp, seq) order"
-                );
-                front.note_window(trigger);
-                for job in window {
-                    if flush_now_s > job.deadline_s {
-                        front.refuse_hold_deadline(job, flush_now_s);
-                    } else {
-                        execute_one(&shard, &front, job);
-                    }
+            Work::One(queued) => {
+                let response = {
+                    let mut shard = lane.shard.lock();
+                    let Queued { envelope, enqueued_wall_s } = queued;
+                    shard.note_activity(envelope.vp, envelope.sent_at_s);
+                    shard.accept(envelope, enqueued_wall_s).map(|job| shard.execute(&job))
+                };
+                if let Some(response) = response {
+                    front.deliver(std::iter::once(response), &[]);
                 }
             }
-            Work::Stalled => front.quarantine_idle(&shard),
+            Work::Window(window) => {
+                let flushed = lane.shard.lock().flush(window);
+                front.deliver(flushed.responses, &flushed.quarantined);
+            }
+            Work::Stalled => front.quarantine_idle(&lane),
         }
-    }
-}
-
-/// Execute one job on the shard's session and deliver its response.
-fn execute_one(shard: &Shard, front: &Front, job: FleetJob) {
-    let rec = recorder();
-    {
-        let uid = job_uid(job.vp.0, job.seq);
-        let start_wall = rec.wall_now_s();
-        let wait_s = (start_wall - job.enqueued_wall_s).max(0.0);
-        rec.observe_s("fleet.queue_wait_s", wait_s);
-        rec.span_for_job(
-            TimeDomain::Wall,
-            Lane::JobQueue,
-            "fleet queue",
-            job.enqueued_wall_s,
-            wait_s,
-            uid,
-        );
-
-        // Take the session lock only long enough to resolve the device; the
-        // runtime lock only for the execution itself; and the front lock only
-        // after both are released (the lock order that keeps us deadlock-free).
-        let (runtime, arch) = {
-            let mut session = shard.session.lock();
-            let device = session.assign(job.vp);
-            // The arch clone feeds observation publishing; skip it (and the
-            // publish below) when nothing on the bus is listening.
-            let arch = bus::has_sinks().then(|| session.arch(device).clone());
-            (session.runtime(device), arch)
-        };
-        let envelope = Envelope {
-            vp: job.vp,
-            seq: job.seq,
-            sent_at_s: job.sent_at_s,
-            deadline_s: job.deadline_s,
-            body: job.exec.clone(),
-        };
-        let response = {
-            let mut rt = runtime.lock();
-            let response = rt.process(&envelope);
-            if let (Some(arch), Some(record)) = (&arch, rt.records().last()) {
-                // Guard on (vp, seq): a non-device request (malloc/sync)
-                // leaves an older job as `last()`.
-                if record.vp == job.vp && record.seq == job.seq {
-                    sigmavp::host::publish_record(arch, record);
-                }
-            }
-            response
-        };
-        let end_wall = rec.wall_now_s();
-        rec.span_for_job(
-            TimeDomain::Wall,
-            Lane::Dispatcher,
-            request_kind(&job.guest),
-            start_wall,
-            (end_wall - start_wall).max(0.0),
-            uid,
-        );
-        front.complete(job, response);
-    }
-}
-
-fn request_kind(request: &Request) -> &'static str {
-    match request {
-        Request::Malloc { .. } => "malloc",
-        Request::Free { .. } => "free",
-        Request::MemcpyH2D { .. } => "memcpy h2d",
-        Request::MemcpyD2H { .. } => "memcpy d2h",
-        Request::Launch { .. } => "launch",
-        Request::Synchronize => "synchronize",
     }
 }
 
@@ -561,7 +366,7 @@ fn request_cost(arch: &GpuArch, request: &Request) -> f64 {
 #[derive(Debug)]
 pub struct Fleet {
     config: FleetConfig,
-    shards: Vec<Arc<Shard>>,
+    lanes: Vec<Arc<Lane>>,
     front: Arc<Front>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -575,7 +380,7 @@ impl Fleet {
     /// Returns [`FleetError::Config`] for an invalid configuration.
     pub fn new(config: FleetConfig, registry: KernelRegistry) -> Result<Fleet, FleetError> {
         config.validate()?;
-        let mut shards = Vec::with_capacity(config.sessions);
+        let mut lanes = Vec::with_capacity(config.sessions);
         for index in 0..config.sessions {
             let mut session = ExecutionSession::new(
                 vec![config.arch.clone(); config.gpus_per_session],
@@ -585,10 +390,12 @@ impl Fleet {
             .map_err(|e| FleetError::Config(e.to_string()))?;
             session.set_workers(config.workers);
             session.set_tier(config.policy.tier);
-            shards.push(Arc::new(Shard {
+            // Every job is journaled: any VP may be stolen or rescued later.
+            let shard = Shard::new(index, session, config.policy, None, true);
+            lanes.push(Arc::new(Lane {
                 index,
-                session: Mutex::new(session),
-                queue: Mutex::new(ShardQueue::default()),
+                shard: Mutex::new(shard),
+                queue: Mutex::new(LaneQueue::default()),
                 cv: Condvar::new(),
             }));
         }
@@ -606,21 +413,20 @@ impl Fleet {
             }),
             cv: Condvar::new(),
         });
-        let policy = config.policy;
-        let workers = shards
+        let workers = lanes
             .iter()
-            .map(|shard| {
-                let shard = Arc::clone(shard);
+            .map(|lane| {
+                let lane = Arc::clone(lane);
                 let front = Arc::clone(&front);
-                std::thread::spawn(move || dispatch_loop(shard, front, policy))
+                std::thread::spawn(move || dispatch_loop(lane, front))
             })
             .collect();
-        Ok(Fleet { config, shards, front, workers: Mutex::new(workers) })
+        Ok(Fleet { config, lanes, front, workers: Mutex::new(workers) })
     }
 
     /// Number of sessions (shards), dead or alive.
     pub fn session_count(&self) -> usize {
-        self.shards.len()
+        self.lanes.len()
     }
 
     /// Whether session `s` is still alive.
@@ -630,7 +436,22 @@ impl Fleet {
 
     /// Snapshot of the fleet counters.
     pub fn stats(&self) -> FleetStats {
-        self.front.state.lock().stats
+        self.merged_stats(&self.front.state.lock())
+    }
+
+    /// Front counters plus the window and watchdog counters each session's
+    /// shard keeps.
+    fn merged_stats(&self, state: &FrontState) -> FleetStats {
+        let mut stats = state.stats;
+        for lane in &self.lanes {
+            let engine = *lane.shard.lock().stats();
+            stats.sync_windows += engine.sync_windows;
+            stats.quorum_flushes += engine.quorum_flushes;
+            stats.timeout_flushes += engine.timeout_flushes;
+            stats.deadline_misses += engine.deadline_misses;
+            stats.quarantined_vps += engine.quarantined;
+        }
+        stats
     }
 
     /// Current fleet-wide in-flight depth (queued + executing jobs).
@@ -641,7 +462,7 @@ impl Fleet {
     /// Device buffers currently allocated per session (leak accounting for
     /// the DESIGN.md §12 re-migration fix).
     pub fn live_buffers(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.session.lock().live_buffers()).collect()
+        self.lanes.iter().map(|lane| lane.shard.lock().session().live_buffers()).collect()
     }
 
     /// Admit `vp` to the fleet, placing it on the consistent-hash ring.
@@ -661,7 +482,7 @@ impl Fleet {
             return Err(FleetError::AlreadyAdmitted(vp));
         }
         let shard = state.ring.slot_of(vp.0 as u64).ok_or(FleetError::NoSurvivingSessions)?;
-        self.shards[shard].session.lock().assign(vp);
+        self.lanes[shard].shard.lock().admit(vp, false);
         state.vps.insert(
             vp,
             VpState {
@@ -669,25 +490,21 @@ impl Fleet {
                 next_seq: 0,
                 sim_s: 0.0,
                 outstanding: false,
+                cost_s: 0.0,
                 submitted_wall_s: 0.0,
                 pending_target: None,
-                journal: VpJournal::default(),
-                map: None,
-                visited: HashMap::new(),
                 mailbox: None,
                 quarantined: false,
-                retired: false,
             },
         );
-        self.shards[shard].queue.lock().eligible += 1;
         recorder().gauge_set("fleet.vps", state.vps.len() as f64);
         Ok(shard)
     }
 
     /// Submit one request for `vp`. Executes any pending migration first (the
-    /// VP provably has nothing in flight here), translates handles for
-    /// migrated VPs, and enqueues on the VP's session. Returns the request's
-    /// sequence number; the response is collected with [`Fleet::wait`].
+    /// VP provably has nothing in flight here) and enqueues on the VP's
+    /// session. Returns the request's sequence number; the response is
+    /// collected with [`Fleet::wait`].
     ///
     /// # Errors
     ///
@@ -776,70 +593,26 @@ impl Fleet {
         let st = state.vps.get_mut(&vp).expect("checked above");
         let seq = st.next_seq;
         st.next_seq += 1;
-        let exec = match &st.map {
-            Some(map) => match map.translate(&request) {
-                Ok(translated) => translated,
-                Err(handle) => {
-                    // Unmapped handle: answer without touching any device.
-                    st.mailbox = Some((
-                        ResponseEnvelope {
-                            vp,
-                            seq,
-                            sent_at_s: st.sim_s,
-                            body: Response::Error {
-                                message: format!("unmapped guest handle {handle}"),
-                            },
-                        },
-                        0.0,
-                    ));
-                    self.front.cv.notify_all();
-                    return Ok(seq);
-                }
-            },
-            None => request.clone(),
-        };
         let sent_at_s = st.sim_s;
         let deadline_s = self.config.policy.deadline_s().map_or(f64::INFINITY, |b| sent_at_s + b);
-        let shard_idx = st.shard;
+        let lane_idx = st.shard;
         st.outstanding = true;
+        st.cost_s = cost_s;
         st.submitted_wall_s = rec.wall_now_s();
 
-        state.window_cost[shard_idx] += cost_s;
+        state.window_cost[lane_idx] += cost_s;
         *state.window_cost_by_vp.entry(vp).or_insert(0.0) += cost_s;
         state.depth += 1;
         state.stats.admitted += 1;
         state.admitted_in_window += 1;
         rec.count("fleet.admitted", 1);
         rec.gauge_set("fleet.depth", state.depth as f64);
-
-        let sync_launch =
-            self.config.policy.sync_hold && matches!(&request, Request::Launch { sync: true, .. });
-        let job = FleetJob {
-            vp,
-            seq,
-            guest: request,
-            exec,
-            sent_at_s,
-            cost_s,
-            deadline_s,
-            enqueued_wall_s: rec.wall_now_s(),
-        };
-        let shard = &self.shards[shard_idx];
-        {
-            let mut q = shard.queue.lock();
-            q.sim_now = q.sim_now.max(sent_at_s);
-            if sync_launch {
-                // Park in the shard's sync window, canonical (vp, seq) order.
-                let at = q.sync_held.partition_point(|j| (j.vp.0, j.seq) < (vp.0, seq));
-                q.sync_held.insert(at, job);
-                state.stats.sync_holds += 1;
-                rec.count("fleet.sync_holds", 1);
-            } else {
-                q.jobs.push_back(job);
-                rec.gauge_set(&shard.depth_gauge(), q.jobs.len() as f64);
-            }
-            shard.cv.notify_one();
+        if Shard::holds(&self.config.policy, &request) {
+            state.stats.sync_holds += 1;
+            rec.count("fleet.sync_holds", 1);
         }
+
+        self.lanes[lane_idx].push(Envelope { vp, seq, sent_at_s, deadline_s, body: request });
 
         if self.config.steal_interval > 0 && state.admitted_in_window >= self.config.steal_interval
         {
@@ -884,7 +657,7 @@ impl Fleet {
     /// [`FleetError::Config`] for a bad target, plus the usual
     /// [`FleetError::UnknownVp`].
     pub fn migrate(&self, vp: VpId, target: usize) -> Result<(), FleetError> {
-        if target >= self.shards.len() {
+        if target >= self.lanes.len() {
             return Err(FleetError::Config(format!("no session {target}")));
         }
         let mut state = self.front.state.lock();
@@ -898,7 +671,7 @@ impl Fleet {
         Ok(())
     }
 
-    /// Retire a finished `vp` from its shard's sync-quorum denominator. A
+    /// Retire a finished `vp` from its session's sync-quorum denominator. A
     /// guest that has completed its script must not hold up lockstep windows
     /// for the VPs still running; retirement is the graceful counterpart of
     /// the watchdog's quarantine. Idempotent.
@@ -908,31 +681,21 @@ impl Fleet {
     /// [`FleetError::Busy`] while a request is in flight or a response is
     /// uncollected; [`FleetError::UnknownVp`] as named.
     pub fn retire(&self, vp: VpId) -> Result<(), FleetError> {
-        let mut state = self.front.state.lock();
-        let st = state.vps.get_mut(&vp).ok_or(FleetError::UnknownVp(vp))?;
+        let state = self.front.state.lock();
+        let st = state.vps.get(&vp).ok_or(FleetError::UnknownVp(vp))?;
         if st.outstanding || st.mailbox.is_some() {
             return Err(FleetError::Busy(vp));
         }
-        if st.retired {
-            return Ok(());
-        }
-        let counted = !st.quarantined;
-        st.retired = true;
-        let shard = &self.shards[st.shard];
-        if counted {
-            {
-                let mut q = shard.queue.lock();
-                q.eligible = q.eligible.saturating_sub(1);
-            }
-            shard.cv.notify_all();
-        }
+        let lane = &self.lanes[st.shard];
+        lane.shard.lock().retire(vp);
+        lane.wake();
         Ok(())
     }
 
     /// Readmit a quarantined `vp`: clear the quarantine and restore it to its
-    /// shard's quorum denominator. The caller vouches the guest is live again
-    /// (e.g. it reconnected or its hang resolved). No-op for a VP that is not
-    /// quarantined.
+    /// session's quorum denominator. The caller vouches the guest is live
+    /// again (e.g. it reconnected or its hang resolved). No-op for a VP that
+    /// is not quarantined.
     ///
     /// # Errors
     ///
@@ -944,31 +707,25 @@ impl Fleet {
             return Ok(());
         }
         st.quarantined = false;
-        let counted = !st.retired;
-        let shard_idx = st.shard;
+        let lane = &self.lanes[st.shard];
         state.stats.readmitted += 1;
         recorder().count("fleet.readmitted", 1);
-        if counted {
-            let shard = &self.shards[shard_idx];
-            {
-                let mut q = shard.queue.lock();
-                q.eligible += 1;
-            }
-            shard.cv.notify_all();
-        }
+        lane.shard.lock().readmit(vp);
+        lane.wake();
         Ok(())
     }
 
     /// Kill session `s`: retire it from the placement ring, stop its
-    /// dispatcher, and re-home its queued jobs onto survivors (journal replay
-    /// plus re-enqueue). Idle VPs of the dead session migrate lazily at their
-    /// next submit. Idempotent; returns the number of rescued jobs.
+    /// dispatcher, and re-home its queued and held jobs onto survivors
+    /// (journal replay plus re-enqueue). Idle VPs of the dead session migrate
+    /// lazily at their next submit. Idempotent; returns the number of rescued
+    /// jobs.
     ///
     /// # Errors
     ///
     /// [`FleetError::Config`] for an unknown session index.
     pub fn kill_session(&self, s: usize) -> Result<usize, FleetError> {
-        if s >= self.shards.len() {
+        if s >= self.lanes.len() {
             return Err(FleetError::Config(format!("no session {s}")));
         }
         let rec = recorder();
@@ -991,22 +748,22 @@ impl Fleet {
         }
         // Stop the dispatcher *without* holding the front lock — its final
         // in-flight completion needs it.
-        let shard = &self.shards[s];
+        let lane = &self.lanes[s];
         let orphans = {
-            let mut q = shard.queue.lock();
+            let mut q = lane.queue.lock();
             q.down = true;
-            shard.cv.notify_all();
+            lane.cv.notify_all();
             while !q.worker_done {
-                shard.cv.wait(&mut q);
+                lane.cv.wait(&mut q);
             }
             std::mem::take(&mut q.orphans)
         };
-        rec.gauge_set(&shard.depth_gauge(), 0.0);
+        rec.gauge_set(&lane.depth_gauge(), 0.0);
 
         let mut rescued = 0;
         let mut state = self.front.state.lock();
-        for job in orphans {
-            let vp = job.vp;
+        for envelope in orphans {
+            let vp = envelope.vp;
             let Some(target) = state.ring.slot_of(vp.0 as u64) else {
                 // No survivors: fail the job without unbounded buffering.
                 let st = state.vps.get_mut(&vp).expect("orphaned job belongs to an admitted vp");
@@ -1014,8 +771,8 @@ impl Fleet {
                 st.mailbox = Some((
                     ResponseEnvelope {
                         vp,
-                        seq: job.seq,
-                        sent_at_s: job.sent_at_s,
+                        seq: envelope.seq,
+                        sent_at_s: envelope.sent_at_s,
                         body: Response::Error { message: "no surviving sessions".into() },
                     },
                     0.0,
@@ -1023,46 +780,11 @@ impl Fleet {
                 state.depth -= 1;
                 continue;
             };
-            state.vps.get_mut(&vp).expect("orphaned job belongs to an admitted vp").outstanding =
-                false;
-            self.migrate_locked(&mut state, vp, target);
             let st = state.vps.get_mut(&vp).expect("orphaned job belongs to an admitted vp");
-            let map = st.map.as_ref().expect("migrated vp has a handle map");
-            let exec = match map.translate(&job.guest) {
-                Ok(translated) => translated,
-                Err(handle) => {
-                    st.mailbox = Some((
-                        ResponseEnvelope {
-                            vp,
-                            seq: job.seq,
-                            sent_at_s: job.sent_at_s,
-                            body: Response::Error {
-                                message: format!("unmapped guest handle {handle}"),
-                            },
-                        },
-                        0.0,
-                    ));
-                    state.depth -= 1;
-                    continue;
-                }
-            };
-            st.outstanding = true;
-            let target_shard = &self.shards[target];
-            {
-                let mut q = target_shard.queue.lock();
-                q.jobs.push_back(FleetJob {
-                    vp,
-                    seq: job.seq,
-                    guest: job.guest,
-                    exec,
-                    sent_at_s: job.sent_at_s,
-                    cost_s: job.cost_s,
-                    deadline_s: job.deadline_s,
-                    enqueued_wall_s: rec.wall_now_s(),
-                });
-                rec.gauge_set(&target_shard.depth_gauge(), q.jobs.len() as f64);
-                target_shard.cv.notify_one();
-            }
+            st.outstanding = false;
+            self.migrate_locked(&mut state, vp, target);
+            state.vps.get_mut(&vp).expect("migrated vp is admitted").outstanding = true;
+            self.lanes[target].push(envelope);
             rescued += 1;
             state.stats.rescued_jobs += 1;
             rec.count("fleet.rescued_jobs", 1);
@@ -1072,27 +794,28 @@ impl Fleet {
     }
 
     /// A point-in-time fleet-wide observability view: one merged metrics
-    /// registry snapshot (every shard records into the shared registry under
-    /// `fleet.s{i}.*` names) plus authoritative per-shard state read under the
-    /// fleet's own locks — gauges can lag a racing dispatcher, these cannot.
+    /// registry snapshot (every session records into the shared registry
+    /// under `fleet.s{i}.*` names) plus authoritative per-session state read
+    /// under the fleet's own locks — gauges can lag a racing dispatcher,
+    /// these cannot.
     pub fn observability(&self, telemetry: &Telemetry) -> FleetObservability {
         let state = self.front.state.lock();
         let shards = self
-            .shards
+            .lanes
             .iter()
             .enumerate()
-            .map(|(i, shard)| ShardView {
+            .map(|(i, lane)| ShardView {
                 index: i,
                 alive: state.alive[i],
                 vps: state.vps.values().filter(|st| st.shard == i).count(),
-                queue_depth: shard.queue.lock().jobs.len(),
-                live_buffers: shard.session.lock().live_buffers(),
+                queue_depth: lane.queue.lock().jobs.len(),
+                live_buffers: lane.shard.lock().session().live_buffers(),
             })
             .collect();
         FleetObservability {
             metrics: telemetry.snapshot(),
             depth: state.depth,
-            stats: state.stats,
+            stats: self.merged_stats(&state),
             shards,
         }
     }
@@ -1100,142 +823,70 @@ impl Fleet {
     /// Park every dispatcher without popping (deterministic admission probes:
     /// with workers held, `capacity + k` submits shed exactly `k` requests).
     pub fn hold_workers(&self) {
-        for shard in &self.shards {
-            shard.queue.lock().held = true;
+        for lane in &self.lanes {
+            lane.queue.lock().held = true;
         }
     }
 
     /// Resume held dispatchers.
     pub fn release_workers(&self) {
-        for shard in &self.shards {
-            let mut q = shard.queue.lock();
+        for lane in &self.lanes {
+            let mut q = lane.queue.lock();
             q.held = false;
-            shard.cv.notify_all();
+            lane.cv.notify_all();
         }
     }
 
     /// Shut the fleet down: stop accepting work, let every dispatcher drain
-    /// its queue, join the threads, and price each session's job log through
-    /// the configured scheduling policy. Call once, after collecting every
-    /// outstanding response.
+    /// its queue and held window, join the threads, and price each session's
+    /// job log through the configured scheduling policy. Call once, after
+    /// collecting every outstanding response.
     pub fn shutdown(&self) -> FleetOutcome {
-        {
-            let mut state = self.front.state.lock();
-            state.closed = true;
-        }
-        for shard in &self.shards {
-            let mut q = shard.queue.lock();
+        self.front.state.lock().closed = true;
+        for lane in &self.lanes {
+            let mut q = lane.queue.lock();
             q.closed = true;
             q.held = false;
-            shard.cv.notify_all();
+            lane.cv.notify_all();
         }
         for handle in self.workers.lock().drain(..) {
             let _ = handle.join();
         }
-        let pipeline = Pipeline::from_policy(&self.config.policy);
-        let sessions = self
-            .shards
-            .iter()
-            .map(|shard| shard.session.lock().drain_and_plan(&pipeline, &|_| false))
-            .collect();
-        let stats = self.front.state.lock().stats;
+        let sessions = self.lanes.iter().map(|lane| lane.shard.lock().drain_and_plan()).collect();
+        let stats = self.stats();
         FleetOutcome { sessions, stats }
     }
 
-    /// Replay `vp`'s journal into `target`'s session and switch its placement.
-    /// Caller holds the front lock and guarantees nothing is in flight for
-    /// `vp`. Infallible: a rejected replay leaves the VP with an empty handle
-    /// map (subsequent requests fail with typed per-request errors) and is
-    /// counted in `replay_failures`.
+    /// Move `vp`'s residency from its session to `target`'s, which replays
+    /// its journal, and switch its placement. Caller holds the front lock and
+    /// guarantees nothing is in flight for `vp`. Infallible: a rejected
+    /// replay leaves the VP with an empty handle map (subsequent requests fail
+    /// with typed per-request errors) and is counted in `replay_failures`.
     fn migrate_locked(&self, state: &mut FrontState, vp: VpId, target: usize) {
         let rec = recorder();
-        let (journal, sim_s, source, departing) = {
-            let st = state.vps.get(&vp).expect("migrating an admitted vp");
-            debug_assert!(!st.outstanding, "migration requires an idle vp");
-            // The guest→device map this residency leaves behind: explicit for
-            // a previously-migrated VP, the identity over live handles on the
-            // VP's home session.
-            let departing = match &st.map {
-                Some(map) => map.clone(),
-                None => journal_live_identity(&st.journal),
-            };
-            (st.journal.clone(), st.sim_s, st.shard, departing)
-        };
-        let source_device = self.shards[source].session.lock().device_of(vp);
-        let (runtime, device) = {
-            let mut session = self.shards[target].session.lock();
-            let device = session.assign(vp);
-            (session.runtime(device), device)
-        };
-        // Stash the departing map so a later return to `source` reuses the
-        // buffers stranded there; consume any stash for `target` now
-        // (DESIGN.md §12 — without this every A→B→A doubles the footprint).
-        let retained = {
-            let st = state.vps.get_mut(&vp).expect("migrating an admitted vp");
-            if let Some(d) = source_device {
-                st.visited.insert(source, (d, departing));
-            }
-            st.visited.remove(&target).and_then(|(d, map)| (d == device).then_some(map))
-        };
-        let mut rt = runtime.lock();
-        let process = |orig_seq: u64, request: &Request| {
-            let started_wall_s = rec.wall_now_s();
-            let body = rt
-                .process_replay(&Envelope {
-                    vp,
-                    seq: 0,
-                    sent_at_s: sim_s,
-                    deadline_s: f64::INFINITY,
-                    body: request.clone(),
-                })
-                .body;
-            // Stitch the replayed work onto the *original* job's uid so its
-            // lifecycle joins into one migration-tagged causal chain.
-            rec.span_for_job(
-                TimeDomain::Wall,
-                Lane::Dispatcher,
-                format!("replay s{target}"),
-                started_wall_s,
-                (rec.wall_now_s() - started_wall_s).max(0.0),
-                job_uid(vp.0, orig_seq),
-            );
-            body
-        };
-        let replayed = match &retained {
-            Some(map) => replay_journal_reusing(&journal, map, process),
-            None => replay_journal(&journal, process),
-        };
-        drop(rt);
-        if retained.is_some() {
+        let st = state.vps.get(&vp).expect("migrating an admitted vp");
+        debug_assert!(!st.outstanding, "migration requires an idle vp");
+        let source = st.shard;
+        let resident =
+            self.lanes[source].shard.lock().evict(vp).expect("an admitted vp resides on its shard");
+        let relocated = self.lanes[target].shard.lock().adopt(vp, resident);
+        if relocated.reused {
             state.stats.reuse_migrations += 1;
             rec.count("fleet.reuse_migrations", 1);
         }
-        let st = state.vps.get_mut(&vp).expect("migrating an admitted vp");
-        match replayed {
-            Ok(map) => st.map = Some(map),
-            Err(_) => {
-                st.map = Some(HandleMap::new());
-                state.stats.replay_failures += 1;
-                rec.count("fleet.replay_failures", 1);
-            }
+        if relocated.failed {
+            state.stats.replay_failures += 1;
+            rec.count("fleet.replay_failures", 1);
         }
         let st = state.vps.get_mut(&vp).expect("migrating an admitted vp");
         st.shard = target;
-        // Move the VP's quorum-denominator slot with it; waking the source
-        // dispatcher lets a window that was waiting on this VP flush.
-        if !st.quarantined && !st.retired {
-            {
-                let mut q = self.shards[source].queue.lock();
-                q.eligible = q.eligible.saturating_sub(1);
-            }
-            self.shards[source].cv.notify_all();
-            self.shards[target].queue.lock().eligible += 1;
-        }
+        // A window on the source that was waiting on this VP may flush now.
+        self.lanes[source].wake();
         // Zero-width marker carrying the uid of the first post-migration job,
         // so its lifecycle is tagged `migrated` even if nothing was replayed.
         rec.span_for_job(
             TimeDomain::Wall,
-            Lane::Dispatcher,
+            TraceLane::Dispatcher,
             format!("migration edge s{source} -> s{target}"),
             rec.wall_now_s(),
             0.0,
@@ -1356,29 +1007,12 @@ impl FleetOutcome {
     /// order. A migrated VP contributes the jobs it ran on every session it
     /// visited.
     pub fn queue_wait_by_vp(&self) -> Vec<(VpId, VpQueueWait)> {
-        let mut by_vp: HashMap<VpId, VpQueueWait> = HashMap::new();
-        for session in &self.sessions {
-            for (vp, wait) in session.queue_wait_by_vp() {
-                let entry = by_vp.entry(vp).or_default();
-                entry.jobs += wait.jobs;
-                entry.total_s += wait.total_s;
-                entry.max_s = entry.max_s.max(wait.max_s);
-            }
-        }
-        let mut merged: Vec<(VpId, VpQueueWait)> = by_vp.into_iter().collect();
-        merged.sort_by_key(|(vp, _)| vp.0);
-        merged
+        queue_wait_by_vp(self.sessions.iter().flat_map(|s| &s.devices))
     }
 
     /// The fleet starvation signal: p99 (nearest-rank) of per-VP worst
     /// simulated queue waits. Zero for an empty fleet.
     pub fn p99_queue_wait_s(&self) -> f64 {
-        let mut worst: Vec<f64> = self.queue_wait_by_vp().iter().map(|(_, w)| w.max_s).collect();
-        if worst.is_empty() {
-            return 0.0;
-        }
-        worst.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let rank = (worst.len() * 99).div_ceil(100);
-        worst[rank - 1]
+        p99_worst_wait(&self.queue_wait_by_vp())
     }
 }

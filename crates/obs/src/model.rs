@@ -253,6 +253,9 @@ mod tests {
 
     #[test]
     fn audit_push_publishes_residual_gauges() {
+        // The recorder is process-global: serialize with every other obs test
+        // that installs it.
+        let _guard = crate::flight::test_bus_lock();
         let telemetry = sigmavp_telemetry::install();
         let mut report = AuditReport::new(0.10);
         report.push("eq7.makespan", 2.0, 2.1);

@@ -9,6 +9,7 @@ mod finance;
 mod imaging;
 mod linalg;
 mod misc;
+mod probes;
 
 pub use finance::{BlackScholesApp, MonteCarloApp};
 pub use imaging::{
@@ -20,6 +21,7 @@ pub use misc::{
     HistogramApp, MandelbrotApp, MarchingCubesApp, MergeSortApp, NbodyApp, SegmentationTreeApp,
     SimpleGlApp, SmokeParticlesApp,
 };
+pub use probes::{CopyStream, StaggeredAdd};
 
 #[cfg(test)]
 pub(crate) mod testenv {

@@ -6,13 +6,14 @@
 //! ```
 //!
 //! Eight VP threads — a mixed fleet of option pricing, sorting and filtering —
-//! share a Quadro-4000-class device through the ΣVP host runtime. With the
-//! round-robin VP-control policy the arrival order is deterministic (the paper's
-//! Fig. 4b stop/resume interleaving); with FIFO the threads race. A final run
-//! splits the same fleet across two host GPUs via the execution session's
-//! least-loaded routing, shrinking the device makespan.
+//! share a Quadro-4000-class device through the ΣVP dispatcher. With sync holds
+//! the dispatcher stops each VP at its synchronous launch and flushes the
+//! cross-VP window in planned order (the paper's Fig. 4b stop/resume
+//! interleaving); with FIFO the threads race. A final run splits the same
+//! fleet across two host GPUs via least-loaded routing, shrinking the device
+//! makespan.
 
-use sigmavp::threaded::ThreadedSigmaVp;
+use sigmavp::DispatchedSigmaVp;
 use sigmavp::Policy;
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::transport::TransportCost;
@@ -43,16 +44,16 @@ fn run(policy: Policy, gpus: usize, label: &str) {
     // Serve SPTX-optimized kernels, like a real driver stack would.
     let registry = registry.optimized();
 
-    let mut system = ThreadedSigmaVp::new(
+    let mut system = DispatchedSigmaVp::new(
         vec![GpuArch::quadro_4000(); gpus],
         registry,
         TransportCost::shared_memory(),
-        policy,
-    );
+    )
+    .with_policy(policy);
     for app in fleet() {
         system.spawn(app);
     }
-    let report = system.join();
+    let (report, _) = system.join();
 
     println!("{label}:");
     for o in &report.outcomes {
@@ -75,7 +76,7 @@ fn run(policy: Policy, gpus: usize, label: &str) {
 }
 
 fn main() {
-    run(Policy::RoundRobin, 1, "round-robin VP control (deterministic interleave)");
+    run(Policy::Fifo.with_sync_hold(true), 1, "sync holds (VP stop/resume windows)");
     run(Policy::Fifo, 1, "fifo (threads race for the device)");
     run(Policy::Fifo, 2, "fifo, fleet split across two host gpus");
 }

@@ -10,8 +10,8 @@
 
 use std::sync::Mutex;
 
+use sigmavp::dispatcher::LiveReport;
 use sigmavp::dispatcher::{DispatchStats, DispatchedSigmaVp};
-use sigmavp::threaded::ThreadedReport;
 use sigmavp_fault::{FaultPlan, LinkFaultConfig};
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::transport::TransportCost;
@@ -33,7 +33,7 @@ fn fleet(
     vps: usize,
     gpus: usize,
     faults: Option<FaultPlan>,
-) -> (ThreadedReport, DispatchStats, MetricsSnapshot) {
+) -> (LiveReport, DispatchStats, MetricsSnapshot) {
     fleet_with_policy(vps, gpus, faults, sigmavp_sched::Policy::Fifo)
 }
 
@@ -42,7 +42,7 @@ fn fleet_with_policy(
     gpus: usize,
     faults: Option<FaultPlan>,
     policy: sigmavp_sched::Policy,
-) -> (ThreadedReport, DispatchStats, MetricsSnapshot) {
+) -> (LiveReport, DispatchStats, MetricsSnapshot) {
     let telemetry = sigmavp_telemetry::install();
     let app = VectorAddApp { n: 2048 };
     let registry: KernelRegistry = app.kernels().into_iter().collect();

@@ -225,12 +225,7 @@ proptest! {
             );
         }
         // The composed pipelines of every policy honour the contract too.
-        for policy in [
-            Policy::Multiplexed,
-            Policy::MultiplexedOptimized,
-            Policy::Fifo,
-            Policy::RoundRobin,
-        ] {
+        for policy in [Policy::Multiplexed, Policy::MultiplexedOptimized, Policy::Fifo] {
             let out = Pipeline::from_policy(&policy).plan(jobs.clone(), &ctx);
             prop_assert!(preserves_partial_order(&jobs, &out.jobs));
         }
@@ -514,49 +509,43 @@ proptest! {
         pct in 1u32..101,
         choices in proptest::collection::vec(any::<usize>(), 1..128),
     ) {
-        use sigmavp_sched::{quorum_met, quorum_threshold};
+        use sigmavp::shard::{Flush, SyncWindow};
+        use sigmavp_sched::quorum_threshold;
 
-        // Model of the dispatcher's hold loop: each VP is parked while one of
-        // its launches is held (at most one held job per VP), arrivals are an
-        // adversarial interleaving, and a window flushes the moment the
-        // quorum is met — taking the earliest-arrived jobs, exactly like the
-        // dispatcher's threshold selection. Whenever no VP can arrive (every
-        // remaining job belongs to an already-held VP, or its peers are done
-        // — the timeout/retire case) the held window drains whole, releasing
-        // its VPs so their later jobs roll into subsequent windows.
+        // Drive the engine's hold window: each VP is parked while one of its
+        // launches is held (at most one held job per VP), arrivals are an
+        // adversarial interleaving stamped in arrival order, and the window
+        // releases whatever its trigger selects the moment one fires.
+        // Whenever no VP can arrive (every remaining job belongs to an
+        // already-held VP, or its peers are done — the timeout/retire case)
+        // the held window drains whole, releasing its VPs so their later jobs
+        // roll into subsequent windows.
         let eligible = job_counts.len();
         let threshold = quorum_threshold(eligible, pct);
         let total: usize = job_counts.iter().sum();
         let mut next_seq = vec![0usize; eligible];
-        let mut held: Vec<(usize, usize, usize)> = Vec::new(); // (arrival, vp, seq)
-        let mut arrivals = 0usize;
-        // (quorum-triggered, window of (vp, seq))
+        let mut held: SyncWindow<(usize, usize)> = SyncWindow::default();
+        // (trigger-released, window of (vp, seq))
         let mut windows: Vec<(bool, Vec<(usize, usize)>)> = Vec::new();
         let mut step = 0usize;
         loop {
             let ready: Vec<usize> = (0..eligible)
-                .filter(|&v| {
-                    next_seq[v] < job_counts[v] && !held.iter().any(|&(_, hv, _)| hv == v)
-                })
+                .filter(|&v| next_seq[v] < job_counts[v] && !held.holds(VpId(v as u32)))
                 .collect();
             let Some(&pick) = ready.get(choices[step % choices.len()] % ready.len().max(1))
             else {
                 if held.is_empty() {
                     break;
                 }
-                // Timeout drain: flush everything held, whole.
-                held.sort_by_key(|&(arrived, _, _)| arrived);
-                windows.push((false, held.drain(..).map(|(_, v, s)| (v, s)).collect()));
+                windows.push((false, held.take(Flush::Drain, eligible, pct)));
                 continue;
             };
-            step += 1;
-            held.push((arrivals, pick, next_seq[pick]));
+            let seq = next_seq[pick];
+            held.insert(VpId(pick as u32), seq as u64, step as f64, (pick, seq));
             next_seq[pick] += 1;
-            arrivals += 1;
-            if quorum_met(held.len(), eligible, pct) {
-                held.sort_by_key(|&(arrived, _, _)| arrived);
-                let take = threshold.min(held.len());
-                windows.push((true, held.drain(..take).map(|(_, v, s)| (v, s)).collect()));
+            step += 1;
+            if let Some(flush) = held.trigger(eligible, pct, None, 0.0) {
+                windows.push((true, held.take(flush, eligible, pct)));
             }
         }
 
@@ -580,11 +569,11 @@ proptest! {
             }
         }
 
-        // Quorum-triggered windows are exactly threshold-sized: held grows
-        // one arrival at a time, so the trigger fires the instant the
-        // threshold is reached.
-        for (by_quorum, window) in &windows {
-            if *by_quorum {
+        // Trigger-released windows are exactly threshold-sized: held grows
+        // one arrival at a time, so the quorum (or, at 100 %, the full house)
+        // fires the instant the threshold is reached.
+        for (by_trigger, window) in &windows {
+            if *by_trigger {
                 prop_assert_eq!(window.len(), threshold);
             }
         }

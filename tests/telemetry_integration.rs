@@ -20,7 +20,7 @@ static COLLECTOR: Mutex<()> = Mutex::new(());
 
 fn vector_add_fleet(
     vps: usize,
-) -> (sigmavp::threaded::ThreadedReport, sigmavp::dispatcher::DispatchStats) {
+) -> (sigmavp::dispatcher::LiveReport, sigmavp::dispatcher::DispatchStats) {
     let app = VectorAddApp { n: 2048 };
     let registry: KernelRegistry = app.kernels().into_iter().collect();
     let mut sys =
