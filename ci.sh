@@ -18,6 +18,8 @@ step "cargo fmt --check" cargo fmt --all -- --check
 
 step "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D warnings
 
+step "cargo doc (deny warnings)" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 step "cargo build --release" cargo build --release --workspace
 
 step "cargo build --examples" cargo build --examples

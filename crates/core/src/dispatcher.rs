@@ -28,7 +28,7 @@
 //! the shard injects the plan's transient device errors and honours its
 //! scheduled outages. Robustness comes from three cooperating mechanisms:
 //!
-//! * **request-level retry** — [`RemoteGpu`] retries on receive timeout, corrupt
+//! * **request-level retry** — `RemoteGpu` retries on receive timeout, corrupt
 //!   response, or a `transient:` device error, with exponential backoff and
 //!   jitter from the [`Policy`]'s [`RetryPolicy`];
 //! * **effect-once dedup** — retries reuse the request's sequence number; the

@@ -17,9 +17,6 @@ pub enum SigmaVpError {
     Ipc(IpcError),
     /// Scenario configuration problem (no VPs, mismatched kernels, …).
     Config(String),
-    /// Every host GPU in the session has been marked down, so strict routing
-    /// (`try_assign`) has nowhere healthy to place a VP.
-    AllDevicesDown,
 }
 
 impl fmt::Display for SigmaVpError {
@@ -29,9 +26,6 @@ impl fmt::Display for SigmaVpError {
             SigmaVpError::Gpu(e) => write!(f, "host gpu error: {e}"),
             SigmaVpError::Ipc(e) => write!(f, "ipc error: {e}"),
             SigmaVpError::Config(msg) => write!(f, "scenario configuration error: {msg}"),
-            SigmaVpError::AllDevicesDown => {
-                write!(f, "every host gpu in the session is marked down")
-            }
         }
     }
 }
@@ -42,7 +36,7 @@ impl std::error::Error for SigmaVpError {
             SigmaVpError::Vp(e) => Some(e),
             SigmaVpError::Gpu(e) => Some(e),
             SigmaVpError::Ipc(e) => Some(e),
-            SigmaVpError::Config(_) | SigmaVpError::AllDevicesDown => None,
+            SigmaVpError::Config(_) => None,
         }
     }
 }

@@ -13,9 +13,9 @@
 //!   least-loaded device (ties go to the lowest index, so sequential
 //!   connections produce the classic round-robin partition).
 //! * **Planning** — [`ExecutionSession::drain_and_plan`] drains every device's
-//!   [`JobRecord`] log and prices it through a shared scheduling
-//!   [`Pipeline`](sigmavp_sched::Pipeline), yielding a [`SessionOutcome`] with
-//!   per-device timelines and fleet-level aggregates.
+//!   [`JobRecord`] log and prices it through a shared scheduling [`Pipeline`],
+//!   yielding a [`SessionOutcome`] with per-device timelines and fleet-level
+//!   aggregates.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -109,9 +109,7 @@ impl ExecutionSession {
     /// lowest index (so sequential assignment of VPs 0..N over D devices yields
     /// the round-robin partition `vp % D`). Re-assigning a VP returns its
     /// existing device. If every device has been marked down, routing falls
-    /// back to the full set (degraded, but never unroutable) — use
-    /// [`ExecutionSession::try_assign`] for strict routing that surfaces the
-    /// all-down case as a typed error instead.
+    /// back to the full set (degraded, but never unroutable).
     pub fn assign(&mut self, vp: VpId) -> usize {
         if let Some(&d) = self.assignments.get(&vp) {
             return d;
@@ -124,26 +122,6 @@ impl ExecutionSession {
         self.placement.add(d);
         self.assignments.insert(vp, d);
         d
-    }
-
-    /// Strict routing: like [`ExecutionSession::assign`], but when every device
-    /// has been marked down return [`SigmaVpError::AllDevicesDown`] instead of
-    /// degrading onto a dead device. A VP that is already assigned keeps its
-    /// device even if that device has since gone down (its migration is the
-    /// supervisor's job, not the router's).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SigmaVpError::AllDevicesDown`] when no healthy device exists
-    /// and `vp` is not already assigned.
-    pub fn try_assign(&mut self, vp: VpId) -> Result<usize, SigmaVpError> {
-        if let Some(&d) = self.assignments.get(&vp) {
-            return Ok(d);
-        }
-        let d = self.placement.least_loaded().ok_or(SigmaVpError::AllDevicesDown)?;
-        self.placement.add(d);
-        self.assignments.insert(vp, d);
-        Ok(d)
     }
 
     /// The device `vp` was routed to, if assigned.
@@ -179,23 +157,10 @@ impl ExecutionSession {
         }
     }
 
-    /// VPs currently routed to device `d`, in ascending VP order.
-    pub fn vps_on(&self, d: usize) -> Vec<VpId> {
-        let mut vps: Vec<VpId> =
-            self.assignments.iter().filter(|(_, &dev)| dev == d).map(|(&vp, _)| vp).collect();
-        vps.sort_by_key(|vp| vp.0);
-        vps
-    }
-
     /// Assign `vp` to a device and open a guest-side connection to it.
     pub fn connect(&mut self, vp: VpId) -> MultiplexedGpu {
         let d = self.assign(vp);
         MultiplexedGpu::new(vp, self.devices[d].runtime.clone(), self.transport)
-    }
-
-    /// Drain every device's job log (per-device, in dispatch order).
-    pub fn take_records(&mut self) -> Vec<Vec<JobRecord>> {
-        self.devices.iter().map(|slot| slot.runtime.lock().take_records()).collect()
     }
 
     /// Set the block-parallel worker count used for kernel launches on every
@@ -477,25 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn try_assign_reports_all_devices_down_as_typed_error() {
-        let mut s = ExecutionSession::new(
-            vec![GpuArch::quadro_4000(), GpuArch::quadro_4000()],
-            registry(),
-            TransportCost::shared_memory(),
-        )
-        .unwrap();
-        assert_eq!(s.try_assign(VpId(0)).unwrap(), 0);
-        s.mark_down(0);
-        assert_eq!(s.try_assign(VpId(1)).unwrap(), 1, "strict routing avoids the dead device");
-        s.mark_down(1);
-        // Strict routing refuses; the degraded `assign` still places.
-        assert_eq!(s.try_assign(VpId(2)).unwrap_err(), SigmaVpError::AllDevicesDown);
-        assert_eq!(s.assign(VpId(2)), 0, "degraded fallback remains available");
-        // An already-assigned VP keeps its device even with everything down.
-        assert_eq!(s.try_assign(VpId(0)).unwrap(), 0);
-    }
-
-    #[test]
     fn mark_down_is_idempotent() {
         let mut s = ExecutionSession::new(
             vec![GpuArch::quadro_4000(), GpuArch::quadro_4000()],
@@ -534,7 +480,9 @@ mod tests {
         // Reassigning an unknown VP registers it (failover before first use).
         s.reassign(VpId(9), 1);
         assert_eq!(s.device_of(VpId(9)), Some(1));
-        assert_eq!(s.vps_on(0), vec![VpId(0), VpId(1), VpId(2)]);
+        let on_device_0: Vec<u32> =
+            [0, 1, 2, 3, 9].into_iter().filter(|&vp| s.device_of(VpId(vp)) == Some(0)).collect();
+        assert_eq!(on_device_0, vec![0, 1, 2]);
     }
 
     #[test]
@@ -608,13 +556,14 @@ mod tests {
             gpu.memcpy_h2d(h, &data).unwrap();
             gpu.free(h).unwrap();
         }
-        let outcome = s.drain_and_plan(&Pipeline::from_policy(&Policy::Multiplexed), &|_| false);
+        let pipeline = Pipeline::from_policy(&Policy::Multiplexed);
+        let outcome = s.drain_and_plan(&pipeline, &|_| false);
         assert_eq!(outcome.devices.len(), 2);
         assert_eq!(outcome.gpu_jobs(), 4);
         assert_eq!(outcome.devices[0].records.len(), 2);
         assert_eq!(outcome.flat_records().len(), 4);
         assert!(outcome.makespan_s() > 0.0);
         // A second drain finds empty logs.
-        assert_eq!(s.take_records().iter().map(Vec::len).sum::<usize>(), 0);
+        assert_eq!(s.drain_and_plan(&pipeline, &|_| false).gpu_jobs(), 0);
     }
 }

@@ -303,8 +303,6 @@ pub struct Shard {
     pipeline: Pipeline,
     faults: Option<Arc<FaultPlan>>,
     breakers: Vec<CircuitBreaker>,
-    /// Whether each device's trip has already been noticed (counted + marked).
-    down_noticed: Vec<bool>,
     /// Attempted operations per device; indexes the plan's transient schedule.
     op_count: Vec<u64>,
     /// Journal every executed job, not only held ones.
@@ -346,7 +344,6 @@ impl Shard {
             policy,
             faults,
             breakers: (0..devices).map(|_| CircuitBreaker::new(threshold)).collect(),
-            down_noticed: vec![false; devices],
             op_count: vec![0; devices],
             journal,
             residents: HashMap::new(),
@@ -728,11 +725,12 @@ impl Shard {
 
     /// Take `device` out of service (idempotent): mark it unhealthy for
     /// routing, trip its breaker, and emit the trip telemetry exactly once.
+    /// This is the only place a device goes unhealthy, so the session's health
+    /// bit doubles as the "already noticed" flag.
     fn mark_down(&mut self, device: usize) {
-        if self.down_noticed[device] {
+        if !self.session.is_healthy(device) {
             return;
         }
-        self.down_noticed[device] = true;
         self.breakers[device].trip();
         self.session.mark_down(device);
         self.stats.gpu_trips += 1;

@@ -160,11 +160,6 @@ impl FaultPlan {
         &self.outages
     }
 
-    /// Whether the plan injects any link faults at all.
-    pub fn has_link_faults(&self) -> bool {
-        !self.link.is_none()
-    }
-
     /// The deterministic fault stream for one link endpoint. Streams for
     /// different `(vp, dir)` pairs are independent; the same pair always yields
     /// the same decision sequence.
@@ -259,7 +254,8 @@ mod tests {
         assert!((0..100).all(|_| lf.decide().is_none()));
         assert!(!plan.device_down(0, 1.0));
         assert!(!plan.transient_at(0, 0));
-        assert!(!plan.has_link_faults());
+        let mut back = plan.link_faults(VpId(0), LinkDirection::HostToGuest);
+        assert!((0..100).all(|_| back.decide().is_none()), "no link faults either way");
     }
 
     #[test]

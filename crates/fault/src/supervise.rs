@@ -5,175 +5,50 @@ use std::collections::HashMap;
 
 use sigmavp_ipc::message::{Request, Response, ResponseEnvelope, VpId, WireParam};
 
-/// Observable circuit-breaker state (see [`CircuitBreaker`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BreakerState {
-    /// Normal operation; consecutive failures are being counted.
-    Closed,
-    /// Tripped: the device is treated as down.
-    Open,
-    /// Cooldown elapsed: exactly one probe request is admitted. Success
-    /// closes the breaker; failure re-trips it.
-    HalfOpen,
-}
-
 /// Per-device consecutive-failure counter that opens after a threshold.
 ///
 /// The dispatcher records every attempted operation outcome; once `threshold`
 /// consecutive failures accumulate the breaker opens and the device is
-/// treated as down (its VPs are migrated to survivors).
-///
-/// With no cooldown configured (the default, and the legacy behavior) an open
-/// breaker latches open forever. [`CircuitBreaker::with_cooldown`] enables
-/// half-open recovery: after `cooldown` *simulated* seconds, [`allow_at`]
-/// admits exactly one probe request. [`record_success`] on the probe closes
-/// the breaker (the transiently-down GPU rejoins); [`record_failure_at`]
-/// re-trips it and restarts the cooldown. The cooldown is simulated time, not
-/// wall time, so recovery points are a function of the workload and seed —
-/// same-seed runs probe at identical instants.
-///
-/// [`allow_at`]: CircuitBreaker::allow_at
-/// [`record_success`]: CircuitBreaker::record_success
-/// [`record_failure_at`]: CircuitBreaker::record_failure_at
+/// treated as down (its VPs are migrated to survivors). An open breaker
+/// latches open: a device that went down never rejoins its session.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
     threshold: u32,
     consecutive: u32,
-    cooldown_us: u64,
-    state: BreakerState,
-    opened_at_s: f64,
-    probe_in_flight: bool,
+    open: bool,
 }
 
 impl CircuitBreaker {
-    /// A closed breaker tripping after `threshold` consecutive failures, with
-    /// half-open recovery disabled (an open breaker latches open).
+    /// A closed breaker tripping after `threshold` consecutive failures.
     pub fn new(threshold: u32) -> Self {
-        CircuitBreaker {
-            threshold: threshold.max(1),
-            consecutive: 0,
-            cooldown_us: 0,
-            state: BreakerState::Closed,
-            opened_at_s: 0.0,
-            probe_in_flight: false,
-        }
-    }
-
-    /// Enable half-open recovery: an open breaker admits a single probe once
-    /// `cooldown_s` simulated seconds have elapsed since it tripped (builder
-    /// style). `0.0` disables recovery again.
-    pub fn with_cooldown(mut self, cooldown_s: f64) -> Self {
-        self.cooldown_us = if cooldown_s <= 0.0 { 0 } else { (cooldown_s * 1e6).ceil() as u64 };
-        self
+        CircuitBreaker { threshold: threshold.max(1), consecutive: 0, open: false }
     }
 
     /// Record a failed operation. Returns `true` iff this failure trips the
     /// breaker (open edge — reported exactly once per trip).
-    ///
-    /// Time-less legacy entry point: equivalent to [`record_failure_at`] at
-    /// the last known trip instant, so half-open re-trips restart their
-    /// cooldown from the original trip when no clock is supplied.
-    ///
-    /// [`record_failure_at`]: CircuitBreaker::record_failure_at
     pub fn record_failure(&mut self) -> bool {
-        self.record_failure_at(self.opened_at_s)
-    }
-
-    /// Record a failed operation observed at simulated time `sim_s`. Returns
-    /// `true` iff this failure trips the breaker — either the threshold was
-    /// crossed while closed, or a half-open probe failed and the breaker
-    /// re-tripped (each open edge is reported exactly once).
-    pub fn record_failure_at(&mut self, sim_s: f64) -> bool {
-        match self.state {
-            BreakerState::Open => false,
-            BreakerState::HalfOpen => {
-                // The probe failed: re-trip and restart the cooldown.
-                self.state = BreakerState::Open;
-                self.opened_at_s = sim_s;
-                self.probe_in_flight = false;
-                self.consecutive = self.threshold;
-                true
-            }
-            BreakerState::Closed => {
-                self.consecutive += 1;
-                if self.consecutive >= self.threshold {
-                    self.state = BreakerState::Open;
-                    self.opened_at_s = sim_s;
-                    return true;
-                }
-                false
-            }
+        if self.open {
+            return false;
         }
+        self.consecutive += 1;
+        self.open = self.consecutive >= self.threshold;
+        self.open
     }
 
-    /// Record a successful operation. Closed: resets the consecutive-failure
-    /// count. Half-open: the probe succeeded — the breaker closes and the
-    /// device rejoins. Open: ignored.
+    /// Record a successful operation: resets the consecutive-failure count.
+    /// An open breaker stays open.
     pub fn record_success(&mut self) {
-        match self.state {
-            BreakerState::Closed => self.consecutive = 0,
-            BreakerState::HalfOpen => {
-                self.state = BreakerState::Closed;
-                self.consecutive = 0;
-                self.probe_in_flight = false;
-            }
-            BreakerState::Open => {}
-        }
+        self.consecutive = 0;
     }
 
-    /// Whether a request may proceed at simulated time `sim_s`, advancing the
-    /// Open → HalfOpen transition when the cooldown has elapsed. Half-open
-    /// admits exactly one probe; further requests are refused until the probe
-    /// resolves via [`record_success`](CircuitBreaker::record_success) or
-    /// [`record_failure_at`](CircuitBreaker::record_failure_at).
-    pub fn allow_at(&mut self, sim_s: f64) -> bool {
-        match self.state {
-            BreakerState::Closed => true,
-            BreakerState::HalfOpen => {
-                if self.probe_in_flight {
-                    false
-                } else {
-                    self.probe_in_flight = true;
-                    true
-                }
-            }
-            BreakerState::Open => {
-                if self.cooldown_us > 0
-                    && sim_s - self.opened_at_s >= self.cooldown_us as f64 * 1e-6
-                {
-                    self.state = BreakerState::HalfOpen;
-                    self.probe_in_flight = true;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Whether the breaker is open (device considered down). Half-open counts
-    /// as *not* open: it is probing its way back.
+    /// Whether the breaker is open (device considered down).
     pub fn is_open(&self) -> bool {
-        self.state == BreakerState::Open
-    }
-
-    /// The current state, for observability and tests.
-    pub fn state(&self) -> BreakerState {
-        self.state
+        self.open
     }
 
     /// Force the breaker open (e.g. a scheduled outage was noticed).
     pub fn trip(&mut self) {
-        self.state = BreakerState::Open;
-        self.probe_in_flight = false;
-        self.consecutive = self.consecutive.max(self.threshold);
-    }
-
-    /// Force the breaker open at simulated time `sim_s`, arming the cooldown
-    /// from that instant.
-    pub fn trip_at(&mut self, sim_s: f64) {
-        self.trip();
-        self.opened_at_s = sim_s;
+        self.open = true;
     }
 }
 
@@ -461,54 +336,15 @@ mod tests {
     #[test]
     fn breaker_without_cooldown_latches_open_forever() {
         let mut b = CircuitBreaker::new(1);
-        assert!(b.allow_at(0.0), "closed breaker admits requests");
-        assert!(b.record_failure_at(1.0));
-        assert_eq!(b.state(), BreakerState::Open);
-        for t in [1.0, 100.0, 1e9] {
-            assert!(!b.allow_at(t), "no cooldown: open latches at t={t}");
+        assert!(!b.is_open(), "closed breaker admits requests");
+        assert!(b.record_failure());
+        assert!(b.is_open());
+        for _ in 0..3 {
+            assert!(!b.record_failure(), "open latches: no second trip edge");
+            assert!(b.is_open(), "no cooldown: open latches");
         }
         b.record_success();
         assert!(b.is_open(), "success while open is ignored");
-    }
-
-    #[test]
-    fn half_open_probe_success_closes_the_breaker() {
-        let mut b = CircuitBreaker::new(2).with_cooldown(5.0);
-        assert!(!b.record_failure_at(0.0));
-        assert!(b.record_failure_at(1.0), "threshold trips");
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.allow_at(5.9), "cooldown runs from the trip instant");
-        assert!(b.allow_at(6.0), "cooldown elapsed: one probe admitted");
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(!b.is_open(), "half-open is probing, not down");
-        assert!(!b.allow_at(6.1), "only a single probe until it resolves");
-        b.record_success();
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert!(b.allow_at(6.2), "closed again: the device rejoined");
-        assert!(!b.record_failure_at(7.0), "failure count restarted on close");
-    }
-
-    #[test]
-    fn half_open_probe_failure_retrips_and_rearms_the_cooldown() {
-        let mut b = CircuitBreaker::new(1).with_cooldown(2.0);
-        assert!(b.record_failure_at(0.0));
-        assert!(b.allow_at(2.0), "first probe");
-        assert!(b.record_failure_at(2.5), "probe failure is a fresh trip edge");
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.allow_at(4.0), "cooldown restarted from the re-trip");
-        assert!(b.allow_at(4.5), "second probe after the new cooldown");
-        b.record_success();
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn trip_at_arms_the_cooldown_from_the_given_instant() {
-        let mut b = CircuitBreaker::new(3).with_cooldown(1.0);
-        b.trip_at(10.0);
-        assert!(b.is_open());
-        assert!(!b.allow_at(10.5));
-        assert!(b.allow_at(11.0));
-        assert_eq!(b.state(), BreakerState::HalfOpen);
     }
 
     #[test]

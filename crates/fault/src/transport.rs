@@ -1,5 +1,5 @@
-//! A transport decorator that applies a [`LinkFaults`](crate::LinkFaults)
-//! stream to every sent frame.
+//! A transport decorator that applies a [`LinkFaults`] stream to every sent
+//! frame.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -1,32 +1,22 @@
 //! Fleet sizing and policy knobs.
 
-use sigmavp_gpu::GpuArch;
-use sigmavp_ipc::transport::TransportCost;
 use sigmavp_sched::Policy;
 
 /// Configuration for a [`Fleet`](crate::Fleet).
 ///
 /// Defaults are chosen so `FleetConfig::new(sessions)` gives a working fleet:
-/// one Quadro-4000 host GPU per session, shared-memory transport, a bounded
-/// admission queue of 1024 jobs, and a steal round every 64 admissions.
+/// a bounded admission queue of 1024 jobs and a steal round every 64
+/// admissions. Every session runs one Quadro-4000 host GPU behind a
+/// shared-memory transport, with sequential block execution.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of independent execution sessions (shards).
     pub sessions: usize,
-    /// Host GPUs per session.
-    pub gpus_per_session: usize,
-    /// Architecture of every host GPU.
-    pub arch: GpuArch,
-    /// Transport cost model between guests and the fleet.
-    pub transport: TransportCost,
     /// Scheduling policy of every session's shard: it plans sync windows
     /// and prices the job logs at shutdown, and its live knobs drive sync
     /// holds (quorum, window timeout), end-to-end deadlines, the hung-VP
     /// watchdog and the SPTX tier.
     pub policy: Policy,
-    /// Block-parallel worker count per host runtime (`1` = sequential,
-    /// `0` = one worker per core).
-    pub workers: u32,
     /// Maximum in-flight jobs (queued + executing) across the whole fleet;
     /// admissions beyond this are shed with
     /// [`FleetError::Saturated`](crate::FleetError::Saturated).
@@ -35,31 +25,12 @@ pub struct FleetConfig {
     /// jobs the rebalancer compares per-session submitted cost and plans
     /// migrations. `0` disables stealing.
     pub steal_interval: u64,
-    /// Steal trigger: rebalance when the hottest session's window cost exceeds
-    /// `steal_ratio` × the coolest session's. Must be > 1.
-    pub steal_ratio: f64,
-    /// Most VPs marked for migration per steal round.
-    pub max_steals_per_round: usize,
-    /// Virtual nodes per session on the consistent-hash placement ring.
-    pub vnodes: usize,
 }
 
 impl FleetConfig {
     /// A fleet of `sessions` single-GPU sessions with default knobs.
     pub fn new(sessions: usize) -> Self {
-        FleetConfig {
-            sessions,
-            gpus_per_session: 1,
-            arch: GpuArch::quadro_4000(),
-            transport: TransportCost::shared_memory(),
-            policy: Policy::Fifo,
-            workers: 1,
-            admission_capacity: 1024,
-            steal_interval: 64,
-            steal_ratio: 1.25,
-            max_steals_per_round: 2,
-            vnodes: 16,
-        }
+        FleetConfig { sessions, policy: Policy::Fifo, admission_capacity: 1024, steal_interval: 64 }
     }
 
     /// Set the admission capacity.
@@ -74,28 +45,13 @@ impl FleetConfig {
         self
     }
 
-    /// Set host GPUs per session.
-    pub fn with_gpus_per_session(mut self, gpus: usize) -> Self {
-        self.gpus_per_session = gpus;
-        self
-    }
-
     /// Validate the configuration.
     pub(crate) fn validate(&self) -> Result<(), crate::FleetError> {
         if self.sessions == 0 {
             return Err(crate::FleetError::Config("need at least one session".into()));
         }
-        if self.gpus_per_session == 0 {
-            return Err(crate::FleetError::Config("need at least one gpu per session".into()));
-        }
         if self.admission_capacity == 0 {
             return Err(crate::FleetError::Config("admission capacity must be positive".into()));
-        }
-        if self.steal_interval > 0 && self.steal_ratio <= 1.0 {
-            return Err(crate::FleetError::Config("steal ratio must exceed 1".into()));
-        }
-        if self.vnodes == 0 {
-            return Err(crate::FleetError::Config("need at least one vnode per session".into()));
         }
         if self.policy.sync_quorum_pct == 0 || self.policy.sync_quorum_pct > 100 {
             return Err(crate::FleetError::Config(format!(
@@ -116,8 +72,20 @@ mod tests {
         assert!(FleetConfig::new(4).validate().is_ok());
         assert!(FleetConfig::new(0).validate().is_err());
         assert!(FleetConfig::new(1).with_capacity(0).validate().is_err());
-        let mut bad = FleetConfig::new(2);
-        bad.steal_ratio = 0.5;
-        assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn sync_quorum_outside_one_to_a_hundred_percent_is_rejected() {
+        let with_quorum = |pct| {
+            let mut config = FleetConfig::new(2);
+            config.policy.sync_quorum_pct = pct;
+            config.validate()
+        };
+        assert!(
+            matches!(with_quorum(0), Err(crate::FleetError::Config(m)) if m.contains("quorum"))
+        );
+        assert!(matches!(with_quorum(101), Err(crate::FleetError::Config(m)) if m.contains("101")));
+        assert!(with_quorum(1).is_ok());
+        assert!(with_quorum(100).is_ok());
     }
 }

@@ -48,6 +48,7 @@ use sigmavp::session::{p99_worst_wait, queue_wait_by_vp};
 use sigmavp::{ExecutionSession, SessionOutcome, Shard, ShardJob, VpQueueWait};
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::message::{Envelope, Request, Response, ResponseEnvelope, VpId};
+use sigmavp_ipc::transport::TransportCost;
 use sigmavp_sched::HashRing;
 use sigmavp_telemetry::bus::{self, Incident, IncidentKind, ObsEvent};
 use sigmavp_telemetry::metrics::MetricsSnapshot;
@@ -345,6 +346,16 @@ fn dispatch_loop(lane: Arc<Lane>, front: Arc<Front>) {
     }
 }
 
+/// Steal trigger: rebalance when the hottest session's window cost exceeds
+/// this multiple of the coolest session's.
+const STEAL_RATIO: f64 = 1.25;
+
+/// Most VPs marked for migration per steal round.
+const MAX_STEALS_PER_ROUND: usize = 2;
+
+/// Virtual nodes per session on the consistent-hash placement ring.
+const RING_VNODES: usize = 16;
+
 /// Deterministic submitted-cost model used by the rebalancer: a pure function
 /// of the request and the device architecture, independent of wall clocks and
 /// profiler feedback, so every run of the same admission sequence plans the
@@ -366,6 +377,9 @@ fn request_cost(arch: &GpuArch, request: &Request) -> f64 {
 #[derive(Debug)]
 pub struct Fleet {
     config: FleetConfig,
+    /// Every session's host GPU; built once because [`request_cost`] reads it
+    /// on every submit.
+    arch: GpuArch,
     lanes: Vec<Arc<Lane>>,
     front: Arc<Front>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -380,15 +394,16 @@ impl Fleet {
     /// Returns [`FleetError::Config`] for an invalid configuration.
     pub fn new(config: FleetConfig, registry: KernelRegistry) -> Result<Fleet, FleetError> {
         config.validate()?;
+        let arch = GpuArch::quadro_4000();
         let mut lanes = Vec::with_capacity(config.sessions);
         for index in 0..config.sessions {
             let mut session = ExecutionSession::new(
-                vec![config.arch.clone(); config.gpus_per_session],
+                vec![arch.clone()],
                 registry.clone(),
-                config.transport,
+                TransportCost::shared_memory(),
             )
             .map_err(|e| FleetError::Config(e.to_string()))?;
-            session.set_workers(config.workers);
+            session.set_workers(1);
             session.set_tier(config.policy.tier);
             // Every job is journaled: any VP may be stolen or rescued later.
             let shard = Shard::new(index, session, config.policy, None, true);
@@ -402,7 +417,7 @@ impl Fleet {
         let front = Arc::new(Front {
             state: Mutex::new(FrontState {
                 vps: HashMap::new(),
-                ring: HashRing::new(config.sessions, config.vnodes),
+                ring: HashRing::new(config.sessions, RING_VNODES),
                 alive: vec![true; config.sessions],
                 depth: 0,
                 admitted_in_window: 0,
@@ -421,12 +436,7 @@ impl Fleet {
                 std::thread::spawn(move || dispatch_loop(lane, front))
             })
             .collect();
-        Ok(Fleet { config, lanes, front, workers: Mutex::new(workers) })
-    }
-
-    /// Number of sessions (shards), dead or alive.
-    pub fn session_count(&self) -> usize {
-        self.lanes.len()
+        Ok(Fleet { config, arch, lanes, front, workers: Mutex::new(workers) })
     }
 
     /// Whether session `s` is still alive.
@@ -538,7 +548,7 @@ impl Fleet {
         // Admission-boundary deadline check: if the request's own submitted
         // cost already exceeds the budget, no schedule can save it — refuse
         // at the front door instead of burning device time.
-        let cost_s = request_cost(&self.config.arch, &request);
+        let cost_s = request_cost(&self.arch, &request);
         if let Some(budget_s) = self.config.policy.deadline_s() {
             if cost_s > budget_s {
                 state.stats.deadline_misses += 1;
@@ -654,13 +664,16 @@ impl Fleet {
     /// # Errors
     ///
     /// [`FleetError::Busy`] while a request is in flight,
-    /// [`FleetError::Config`] for a bad target, plus the usual
-    /// [`FleetError::UnknownVp`].
+    /// [`FleetError::Config`] for a target that does not exist or was killed,
+    /// plus the usual [`FleetError::UnknownVp`].
     pub fn migrate(&self, vp: VpId, target: usize) -> Result<(), FleetError> {
         if target >= self.lanes.len() {
             return Err(FleetError::Config(format!("no session {target}")));
         }
         let mut state = self.front.state.lock();
+        if !state.alive[target] {
+            return Err(FleetError::Config(format!("session {target} is dead")));
+        }
         let st = state.vps.get(&vp).ok_or(FleetError::UnknownVp(vp))?;
         if st.outstanding || st.mailbox.is_some() {
             return Err(FleetError::Busy(vp));
@@ -896,7 +909,7 @@ impl Fleet {
         rec.count("fleet.migrations", 1);
     }
 
-    /// Plan up to `max_steals_per_round` migrations from the hottest alive
+    /// Plan up to [`MAX_STEALS_PER_ROUND`] migrations from the hottest alive
     /// shard to the coolest, by submitted cost over the closing window.
     /// Deterministic: costs are pure functions of the admitted requests, and
     /// every tie breaks on the lowest index.
@@ -916,9 +929,7 @@ impl Fleet {
             }
         }
         if let (Some(hot), Some(cool)) = (hottest, coolest) {
-            if hot != cool
-                && state.window_cost[hot] > self.config.steal_ratio * state.window_cost[cool]
-            {
+            if hot != cool && state.window_cost[hot] > STEAL_RATIO * state.window_cost[cool] {
                 let mut candidates: Vec<(VpId, f64)> = state
                     .window_cost_by_vp
                     .iter()
@@ -935,7 +946,7 @@ impl Fleet {
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(a.0 .0.cmp(&b.0 .0))
                 });
-                for (vp, _) in candidates.into_iter().take(self.config.max_steals_per_round) {
+                for (vp, _) in candidates.into_iter().take(MAX_STEALS_PER_ROUND) {
                     state.vps.get_mut(&vp).expect("candidate is admitted").pending_target =
                         Some(cool);
                     state.stats.steals += 1;

@@ -3,7 +3,7 @@
 //! ΣVP's single [`ExecutionSession`](sigmavp::ExecutionSession) multiplexes
 //! many VPs over one host-GPU set; this crate scales that design out. A
 //! [`Fleet`] shards VPs across `S` independent sessions — each with its own
-//! dispatcher thread and host GPUs — behind one front door that provides:
+//! dispatcher thread and host GPU — behind one front door that provides:
 //!
 //! * **consistent-hash placement** plus a **work-stealing rebalancer** that
 //!   migrates whole VPs between sessions (journal replay + handle

@@ -561,3 +561,49 @@ fn sync_quorum_knob_is_validated() {
     config.policy.sync_quorum_pct = 150;
     assert!(Fleet::new(config, registry()).is_err());
 }
+
+/// Pins the constants behind placement and stealing: the ring's 16 vnodes per
+/// session decide every VP's home, and the steal ratio and per-round cap decide
+/// how many VPs the skewed load moves. Values were measured on the fleet whose
+/// knobs these constants replaced.
+#[test]
+fn ring_placement_and_steal_plan_are_pinned() {
+    let fleet =
+        Fleet::new(FleetConfig::new(2).with_steal_interval(16), registry()).expect("fleet builds");
+    let mut scripts: Vec<(VpId, VpScript)> = (0..16u32)
+        .map(|vp| {
+            let launches = if vp % 2 == 0 { 6 } else { 1 };
+            (VpId(vp), VpScript::vector_add(4096, launches, 2000 + vp as u64))
+        })
+        .collect();
+    let homes: Vec<usize> = scripts.iter().map(|(vp, _)| fleet.admit(*vp).unwrap()).collect();
+    assert_eq!(homes, vec![0; 16], "VPs 0..16 hash onto session 0");
+    let submitted = drive(&fleet, &mut scripts).expect("every script validates");
+    let outcome = fleet.shutdown();
+    assert_eq!(outcome.stats.completed, submitted);
+    let plan = (outcome.stats.admitted, outcome.stats.steals, outcome.stats.migrations);
+    assert_eq!(plan, (200, 8, 8), "(admitted, steals, migrations)");
+
+    // Past the first 16 keys the ring spreads VPs over both sessions.
+    let fleet = Fleet::new(FleetConfig::new(2), registry()).expect("fleet builds");
+    let homes: Vec<usize> = (16..64u32).map(|vp| fleet.admit(VpId(vp)).unwrap()).collect();
+    let expected = [
+        1, 1, 1, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 1, //
+        1, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0,
+    ];
+    assert_eq!(homes, expected);
+    fleet.shutdown();
+}
+
+#[test]
+fn migrating_onto_a_killed_session_is_refused() {
+    let fleet = Fleet::new(FleetConfig::new(2), registry()).expect("fleet builds");
+    fleet.admit(VpId(0)).unwrap();
+    fleet.kill_session(1).unwrap();
+    assert_eq!(
+        fleet.migrate(VpId(0), 1).unwrap_err(),
+        FleetError::Config("session 1 is dead".into())
+    );
+    assert_eq!(fleet.stats().migrations, 0, "nothing moved");
+    fleet.shutdown();
+}

@@ -127,12 +127,6 @@ impl Timeline {
         self.spans.iter().find(|s| s.id == id)
     }
 
-    /// Completion time of the last operation in a given stream (0 when the stream
-    /// issued nothing).
-    pub fn stream_finish_s(&self, stream: StreamId) -> f64 {
-        self.spans.iter().filter(|s| s.stream == stream).map(|s| s.end_s).fold(0.0, f64::max)
-    }
-
     /// Copy–compute overlap efficiency in `[0, 1]`: the fraction of the
     /// shorter side's busy time during which the compute engine and a copy
     /// channel were active *simultaneously*. This is the quantity Kernel
@@ -172,14 +166,6 @@ impl Timeline {
             }
         }
         (overlap / shorter).clamp(0.0, 1.0)
-    }
-
-    /// The spans that ran on one engine, in time order. Engines serve their
-    /// operations in issue order, so the filtered issue-order spans are
-    /// already sorted by start time — this is the segment view critical-path
-    /// extraction walks.
-    pub fn engine_segments(&self, engine: Engine) -> impl Iterator<Item = &OpSpan> + '_ {
-        self.spans.iter().filter(move |s| s.engine == engine)
     }
 
     /// The timeline as simulated-time telemetry events: one span per op on its
@@ -240,14 +226,6 @@ impl Timeline {
             }
         }));
         events
-    }
-
-    /// Export the timeline as a Chrome trace (the JSON array format accepted by
-    /// `chrome://tracing` and Perfetto): one duration event per op, with the
-    /// three engines as named rows. Thin wrapper over the unified
-    /// [`sigmavp_telemetry::export`] writer.
-    pub fn to_chrome_trace(&self) -> String {
-        sigmavp_telemetry::export::chrome_trace_json(&self.trace_events())
     }
 
     /// Publish this timeline's aggregates (per-engine busy seconds and
@@ -603,7 +581,7 @@ mod tests {
     fn chrome_trace_is_well_formed() {
         let arch = duplex_arch();
         let tl = simulate(&arch, &programs(2, 1.0, true));
-        let trace = tl.to_chrome_trace();
+        let trace = sigmavp_telemetry::export::chrome_trace_json(&tl.trace_events());
         assert!(trace.starts_with('['));
         assert!(trace.trim_end().ends_with(']'));
         assert_eq!(trace.matches("\"ph\":\"X\"").count(), tl.spans.len());
@@ -699,22 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_segments_are_filtered_and_time_ordered() {
-        let arch = duplex_arch();
-        let tl = simulate(&arch, &programs(4, 1.0, true));
-        for engine in [Engine::CopyH2D, Engine::Compute, Engine::CopyD2H] {
-            let segs: Vec<&OpSpan> = tl.engine_segments(engine).collect();
-            assert_eq!(segs.len(), 4);
-            assert!(segs.iter().all(|s| s.engine == engine));
-            assert!(
-                segs.windows(2).all(|w| w[0].start_s <= w[1].start_s),
-                "engine serves in issue order, so segments are time-sorted"
-            );
-        }
-        assert_eq!(Timeline::default().engine_segments(Engine::Compute).count(), 0);
-    }
-
-    #[test]
     fn trace_events_with_jobs_stamp_resolved_ops_only() {
         let arch = duplex_arch();
         let tl = simulate(&arch, &programs(2, 1.0, true));
@@ -733,13 +695,5 @@ mod tests {
         let mirrored = tl.trace_events_with_streams_and_jobs(Some);
         assert_eq!(mirrored.len(), 2 * tl.spans.len());
         assert!(mirrored.iter().all(|e| e.job.is_some()));
-    }
-
-    #[test]
-    fn stream_finish_times() {
-        let arch = duplex_arch();
-        let tl = simulate(&arch, &programs(2, 1.0, true));
-        assert!(tl.stream_finish_s(StreamId(0)) <= tl.stream_finish_s(StreamId(1)));
-        assert_eq!(tl.stream_finish_s(StreamId(99)), 0.0);
     }
 }

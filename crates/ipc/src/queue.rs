@@ -8,7 +8,6 @@
 //! scheduler's unit tests and by its property-based tests.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -42,13 +41,6 @@ pub enum JobKind {
         /// Block dimension in threads.
         block_dim: u32,
     },
-}
-
-impl JobKind {
-    /// Whether this job runs on the copy engine.
-    pub fn is_copy(&self) -> bool {
-        matches!(self, JobKind::CopyIn { .. } | JobKind::CopyOut { .. })
-    }
 }
 
 /// A queued GPU job.
@@ -90,7 +82,6 @@ struct QueueInner {
 #[derive(Debug, Default)]
 pub struct JobQueue {
     inner: Mutex<QueueInner>,
-    next_id: AtomicU64,
 }
 
 fn record_depth(depth: usize) {
@@ -111,11 +102,6 @@ impl JobQueue {
     /// An empty queue.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Allocate a fresh [`JobId`].
-    pub fn next_id(&self) -> JobId {
-        JobId(self.next_id.fetch_add(1, Ordering::Relaxed))
     }
 
     /// Append a job.
@@ -242,9 +228,9 @@ pub fn preserves_partial_order(original: &[Job], reordered: &[Job]) -> bool {
 mod tests {
     use super::*;
 
-    fn job(queue: &JobQueue, vp: u32, seq: u64) -> Job {
+    fn job(id: u64, vp: u32, seq: u64) -> Job {
         Job {
-            id: queue.next_id(),
+            id: JobId(id),
             vp: VpId(vp),
             seq,
             kind: JobKind::CopyIn { bytes: 64 },
@@ -257,8 +243,8 @@ mod tests {
     #[test]
     fn fifo_order() {
         let q = JobQueue::new();
-        let a = job(&q, 0, 0);
-        let b = job(&q, 0, 1);
+        let a = job(0, 0, 0);
+        let b = job(1, 0, 1);
         q.push(a.clone());
         q.push(b.clone());
         assert_eq!(q.len(), 2);
@@ -270,8 +256,8 @@ mod tests {
     #[test]
     fn drain_and_replace() {
         let q = JobQueue::new();
-        let a = job(&q, 0, 0);
-        let b = job(&q, 1, 0);
+        let a = job(0, 0, 0);
+        let b = job(1, 1, 0);
         q.push(a.clone());
         q.push(b.clone());
         let mut jobs = q.drain_all();
@@ -285,17 +271,16 @@ mod tests {
     #[should_panic(expected = "non-empty queue")]
     fn replace_on_nonempty_queue_panics() {
         let q = JobQueue::new();
-        q.push(job(&q, 0, 0));
+        q.push(job(0, 0, 0));
         q.replace(vec![]);
     }
 
     #[test]
     fn partial_order_accepts_cross_vp_interleaving() {
-        let q = JobQueue::new();
-        let a0 = job(&q, 0, 0);
-        let a1 = job(&q, 0, 1);
-        let b0 = job(&q, 1, 0);
-        let b1 = job(&q, 1, 1);
+        let a0 = job(0, 0, 0);
+        let a1 = job(1, 0, 1);
+        let b0 = job(2, 1, 0);
+        let b1 = job(3, 1, 1);
         let original = vec![a0.clone(), a1.clone(), b0.clone(), b1.clone()];
         let interleaved = vec![a0.clone(), b0.clone(), a1.clone(), b1.clone()];
         assert!(preserves_partial_order(&original, &interleaved));
@@ -303,20 +288,18 @@ mod tests {
 
     #[test]
     fn partial_order_rejects_within_vp_swap() {
-        let q = JobQueue::new();
-        let a0 = job(&q, 0, 0);
-        let a1 = job(&q, 0, 1);
+        let a0 = job(0, 0, 0);
+        let a1 = job(1, 0, 1);
         let swapped = vec![a1.clone(), a0.clone()];
         assert!(!preserves_partial_order(&[a0, a1], &swapped));
     }
 
     #[test]
     fn partial_order_rejects_dropped_or_added_jobs() {
-        let q = JobQueue::new();
-        let a0 = job(&q, 0, 0);
-        let a1 = job(&q, 0, 1);
+        let a0 = job(0, 0, 0);
+        let a1 = job(1, 0, 1);
         assert!(!preserves_partial_order(&[a0.clone(), a1.clone()], std::slice::from_ref(&a0)));
-        let alien = job(&q, 0, 2);
+        let alien = job(2, 0, 2);
         assert!(!preserves_partial_order(&[a0.clone(), a1], &[a0, alien]));
     }
 
@@ -329,7 +312,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for seq in 0..100u64 {
                         let j = Job {
-                            id: q.next_id(),
+                            id: JobId(vp as u64 * 100 + seq),
                             vp: VpId(vp),
                             seq,
                             kind: JobKind::CopyOut { bytes: 1 },

@@ -13,10 +13,10 @@
 //! order, which varies run to run — but EWMA and Welford variance are
 //! order-sensitive, and the audit gate requires byte-identical serialized
 //! profiles across same-seed runs. So the hot path only *appends* each
-//! observation (O(1), tagged with its stable
-//! [`job_uid`](sigmavp_telemetry::job_uid)), and the estimators fold pending
-//! observations **sorted by uid** — the canonical `(vp, seq)` order every
-//! same-seed run produces identically — when a [`ProfileSnapshot`] is taken.
+//! observation (O(1), tagged with its stable [`job_uid`]), and the estimators
+//! fold pending observations **sorted by uid** — the canonical `(vp, seq)`
+//! order every same-seed run produces identically — when a [`ProfileSnapshot`]
+//! is taken.
 //! Incremental on the write path, deterministic on the read path.
 
 use std::collections::BTreeMap;
@@ -61,11 +61,6 @@ impl Estimate {
         } else {
             self.m2 / self.count as f64
         }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     fn to_json(self) -> String {

@@ -1,122 +1,14 @@
-//! Kernel Coalescing: merging identical kernel requests from different VPs into a
-//! single launch over contiguous memory.
+//! Kernel Coalescing's memory side: the contiguous buffer layout of Fig. 5.
 //!
 //! "We observed that when multiple VP instances are running it is likely that an
 //! identical kernel is called by more than one VP at the same time. Such simulations
 //! can be accelerated by coalescing those common invocations from each VP into a
-//! single kernel invocation" (paper, Section 3). The gains have two sources, both of
-//! which this module quantifies:
-//!
-//! 1. **launch-overhead amortization** — one launch pays the fixed overhead `To`
-//!    once instead of N times (Fig. 6);
-//! 2. **data alignment** — a merged grid of `⌈Σeᵢ / b⌉` blocks wastes at most one
-//!    partially filled *wave*, whereas N separate grids each waste their own
-//!    (Fig. 10b's staircase, Eq. 9).
+//! single kernel invocation" (paper, Section 3). Which jobs merge is decided by the
+//! [`Coalesce`](crate::Coalesce) pipeline pass; the Eq. 9 gain of a merged launch
+//! is priced by the host engine's flush and by `sigmavp_obs::model`.
 //!
 //! Coalescing requires the member buffers to live in physically contiguous device
 //! memory (Fig. 5); [`MemoryLayout`] plans that placement and the scatter-back.
-
-use sigmavp_ipc::message::VpId;
-use sigmavp_ipc::queue::{Job, JobId, JobKind};
-
-/// The identity test for "identical kernels": same kernel (by name — the registry
-/// guarantees one program per name) launched with the same block size. Grid sizes
-/// may differ; they describe how much data each VP brought.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct KernelMatchKey {
-    /// Kernel name.
-    pub name: String,
-    /// Threads per block.
-    pub block_dim: u32,
-}
-
-/// One VP's contribution to a coalesced launch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoalesceMember {
-    /// Index of the job in the scanned window.
-    pub job_index: usize,
-    /// The job's queue id.
-    pub job_id: JobId,
-    /// Originating VP.
-    pub vp: VpId,
-    /// The member's original grid size in blocks.
-    pub grid_dim: u32,
-}
-
-/// A set of identical kernel jobs that can be merged into one launch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoalesceGroup {
-    /// The matching key all members share.
-    pub key: KernelMatchKey,
-    /// The members, in queue order.
-    pub members: Vec<CoalesceMember>,
-}
-
-impl CoalesceGroup {
-    /// Number of member invocations merged.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the group is empty.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Sum of the members' grids — an upper bound on the merged grid (exact when
-    /// every member's data exactly fills its blocks).
-    pub fn summed_grid_dim(&self) -> u64 {
-        self.members.iter().map(|m| m.grid_dim as u64).sum()
-    }
-}
-
-/// Scan a pending-job window and group coalescible kernel jobs.
-///
-/// A kernel job is *eligible* iff it is the first kernel job of its VP within the
-/// window — merging it cannot then violate the VP's partial order, because all its
-/// intra-VP predecessors are copies that execute before the merged launch. Groups
-/// with at least two members are returned, in order of first appearance.
-pub fn find_groups(jobs: &[Job]) -> Vec<CoalesceGroup> {
-    use std::collections::{HashMap, HashSet};
-    let mut seen_kernel_vps: HashSet<VpId> = HashSet::new();
-    let mut groups: Vec<CoalesceGroup> = Vec::new();
-    let mut index_of: HashMap<KernelMatchKey, usize> = HashMap::new();
-
-    let mut eligible = 0u64;
-    for (i, job) in jobs.iter().enumerate() {
-        let JobKind::Kernel { name, grid_dim, block_dim } = &job.kind else { continue };
-        let first_of_vp = seen_kernel_vps.insert(job.vp);
-        if !first_of_vp {
-            continue;
-        }
-        eligible += 1;
-        let key = KernelMatchKey { name: clone_name(name), block_dim: *block_dim };
-        let member =
-            CoalesceMember { job_index: i, job_id: job.id, vp: job.vp, grid_dim: *grid_dim };
-        match index_of.get(&key) {
-            Some(&g) => groups[g].members.push(member),
-            None => {
-                index_of.insert(key.clone(), groups.len());
-                groups.push(CoalesceGroup { key, members: vec![member] });
-            }
-        }
-    }
-    groups.retain(|g| g.members.len() >= 2);
-
-    // Coalescing match rate = coalesce.jobs_matched / coalesce.kernel_jobs_eligible.
-    let r = sigmavp_telemetry::recorder();
-    if r.enabled() {
-        r.count("coalesce.scans", 1);
-        r.count("coalesce.kernel_jobs_eligible", eligible);
-        r.count("coalesce.jobs_matched", groups.iter().map(|g| g.len() as u64).sum());
-        r.count("coalesce.groups_found", groups.len() as u64);
-    }
-    groups
-}
-
-fn clone_name(name: &str) -> String {
-    name.to_string()
-}
 
 /// Placement of member buffers inside one contiguous coalesced buffer (Fig. 5).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -208,143 +100,9 @@ impl MemoryLayout {
     }
 }
 
-/// A fully planned coalesced launch: which jobs merge, how much data each brings,
-/// and the merged grid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoalescePlan {
-    /// The matched kernels.
-    pub group: CoalesceGroup,
-    /// Data elements each member processes.
-    pub member_elements: Vec<u64>,
-    /// Threads per block of the merged launch (same as every member's).
-    pub block_dim: u32,
-}
-
-impl CoalescePlan {
-    /// Plan a coalesced launch for `group` where member `i` processes
-    /// `member_elements[i]` data elements with `block_dim`-thread blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element list length differs from the group size or
-    /// `block_dim` is zero.
-    pub fn new(group: CoalesceGroup, member_elements: Vec<u64>, block_dim: u32) -> Self {
-        assert_eq!(group.len(), member_elements.len(), "one element count per member");
-        assert!(block_dim > 0, "block_dim must be positive");
-        let plan = CoalescePlan { group, member_elements, block_dim };
-        let r = sigmavp_telemetry::recorder();
-        if r.enabled() {
-            r.count("coalesce.plans", 1);
-            r.count("coalesce.merged_launches_saved", plan.group.len() as u64 - 1);
-            r.count("coalesce.blocks_saved", plan.blocks_saved());
-        }
-        plan
-    }
-
-    /// Total elements across members.
-    pub fn total_elements(&self) -> u64 {
-        self.member_elements.iter().sum()
-    }
-
-    /// The merged grid: `⌈Σeᵢ / block_dim⌉` blocks.
-    pub fn merged_grid_dim(&self) -> u32 {
-        self.total_elements().div_ceil(self.block_dim as u64).max(1) as u32
-    }
-
-    /// Element offset of member `i` in the merged index space (members are packed
-    /// back to back, mirroring the contiguous memory layout).
-    pub fn member_element_offset(&self, i: usize) -> u64 {
-        self.member_elements[..i].iter().sum()
-    }
-
-    /// Blocks the *separate* launches would occupy: `Σ ⌈eᵢ / b⌉`.
-    pub fn separate_grid_blocks(&self) -> u64 {
-        self.member_elements.iter().map(|&e| e.div_ceil(self.block_dim as u64).max(1)).sum()
-    }
-
-    /// Blocks saved by merging — the data-alignment gain, before even counting the
-    /// saved launch overheads.
-    pub fn blocks_saved(&self) -> u64 {
-        self.separate_grid_blocks() - self.merged_grid_dim() as u64
-    }
-
-    /// The memory layout for one logical buffer of `bytes_per_element` (call once
-    /// per kernel argument buffer, e.g. three times for vectorAdd's a, b, out).
-    pub fn buffer_layout(&self, bytes_per_element: u64, alignment: u64) -> MemoryLayout {
-        let sizes: Vec<u64> = self.member_elements.iter().map(|&e| e * bytes_per_element).collect();
-        MemoryLayout::contiguous(&sizes, alignment)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn kernel_job(id: u64, vp: u32, seq: u64, name: &str, grid: u32, block: u32) -> Job {
-        Job {
-            id: JobId(id),
-            vp: VpId(vp),
-            seq,
-            kind: JobKind::Kernel { name: name.into(), grid_dim: grid, block_dim: block },
-            sync: false,
-            enqueued_at_s: 0.0,
-            expected_duration_s: 1.0,
-        }
-    }
-
-    fn copy_job(id: u64, vp: u32, seq: u64) -> Job {
-        Job {
-            id: JobId(id),
-            vp: VpId(vp),
-            seq,
-            kind: JobKind::CopyIn { bytes: 64 },
-            sync: false,
-            enqueued_at_s: 0.0,
-            expected_duration_s: 0.5,
-        }
-    }
-
-    #[test]
-    fn identical_kernels_from_distinct_vps_group() {
-        let jobs = vec![
-            copy_job(0, 0, 0),
-            copy_job(1, 1, 0),
-            kernel_job(2, 0, 1, "vector_add", 4, 256),
-            kernel_job(3, 1, 1, "vector_add", 4, 256),
-        ];
-        let groups = find_groups(&jobs);
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].len(), 2);
-        assert_eq!(groups[0].key.name, "vector_add");
-        assert_eq!(groups[0].summed_grid_dim(), 8);
-    }
-
-    #[test]
-    fn different_kernels_or_block_dims_do_not_group() {
-        let jobs = vec![
-            kernel_job(0, 0, 0, "vector_add", 4, 256),
-            kernel_job(1, 1, 0, "sobel", 4, 256),
-            kernel_job(2, 2, 0, "vector_add", 4, 128), // different block size
-        ];
-        assert!(find_groups(&jobs).is_empty());
-    }
-
-    #[test]
-    fn only_first_kernel_per_vp_is_eligible() {
-        // VP 0 queued two vector_add launches; only its first can join the merge —
-        // merging the second would reorder it before the first.
-        let jobs = vec![
-            kernel_job(0, 0, 0, "vector_add", 4, 256),
-            kernel_job(1, 0, 1, "vector_add", 4, 256),
-            kernel_job(2, 1, 0, "vector_add", 4, 256),
-        ];
-        let groups = find_groups(&jobs);
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].len(), 2);
-        let vps: Vec<VpId> = groups[0].members.iter().map(|m| m.vp).collect();
-        assert_eq!(vps, vec![VpId(0), VpId(1)]);
-        assert_eq!(groups[0].members[0].job_id, JobId(0));
-    }
 
     #[test]
     fn layout_is_contiguous_and_aligned() {
@@ -366,82 +124,5 @@ mod tests {
         assert_eq!(merged.len() as u64, l.total_len());
         let parts = l.scatter(&merged);
         assert_eq!(parts, vec![a, b, c]);
-    }
-
-    #[test]
-    fn merged_grid_is_never_larger_than_separate_grids() {
-        let group = CoalesceGroup {
-            key: KernelMatchKey { name: "k".into(), block_dim: 512 },
-            members: (0..4)
-                .map(|i| CoalesceMember {
-                    job_index: i,
-                    job_id: JobId(i as u64),
-                    vp: VpId(i as u32),
-                    grid_dim: 1,
-                })
-                .collect(),
-        };
-        // Four members with 100 elements each at block 512: separate = 4 blocks,
-        // merged = ⌈400/512⌉ = 1 block.
-        let plan = CoalescePlan::new(group, vec![100, 100, 100, 100], 512);
-        assert_eq!(plan.separate_grid_blocks(), 4);
-        assert_eq!(plan.merged_grid_dim(), 1);
-        assert_eq!(plan.blocks_saved(), 3);
-        assert_eq!(plan.member_element_offset(0), 0);
-        assert_eq!(plan.member_element_offset(3), 300);
-    }
-
-    #[test]
-    fn exactly_aligned_members_save_nothing() {
-        let group = CoalesceGroup {
-            key: KernelMatchKey { name: "k".into(), block_dim: 256 },
-            members: (0..2)
-                .map(|i| CoalesceMember {
-                    job_index: i,
-                    job_id: JobId(i as u64),
-                    vp: VpId(i as u32),
-                    grid_dim: 2,
-                })
-                .collect(),
-        };
-        let plan = CoalescePlan::new(group, vec![512, 512], 256);
-        assert_eq!(plan.blocks_saved(), 0);
-        assert_eq!(plan.merged_grid_dim(), 4);
-    }
-
-    #[test]
-    fn buffer_layout_scales_with_element_width() {
-        let group = CoalesceGroup {
-            key: KernelMatchKey { name: "k".into(), block_dim: 128 },
-            members: (0..2)
-                .map(|i| CoalesceMember {
-                    job_index: i,
-                    job_id: JobId(i as u64),
-                    vp: VpId(i as u32),
-                    grid_dim: 1,
-                })
-                .collect(),
-        };
-        let plan = CoalescePlan::new(group, vec![100, 50], 128);
-        let l4 = plan.buffer_layout(4, 128);
-        let l8 = plan.buffer_layout(8, 128);
-        assert_eq!(l4.len_of(0), 400);
-        assert_eq!(l8.len_of(0), 800);
-        assert!(l8.total_len() > l4.total_len());
-    }
-
-    #[test]
-    #[should_panic(expected = "one element count per member")]
-    fn plan_rejects_mismatched_members() {
-        let group = CoalesceGroup {
-            key: KernelMatchKey { name: "k".into(), block_dim: 128 },
-            members: vec![CoalesceMember {
-                job_index: 0,
-                job_id: JobId(0),
-                vp: VpId(0),
-                grid_dim: 1,
-            }],
-        };
-        CoalescePlan::new(group, vec![1, 2], 128);
     }
 }

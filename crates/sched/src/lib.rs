@@ -4,12 +4,15 @@
 //!
 //! 1. "it reorders the asynchronous kernel jobs in the Job Queue by keeping a
 //!    partial order in the original VP. It is a non-preemptive, optimal scheduler
-//!    augmented for job dependencies" — implemented in [`interleave`], which also
-//!    provides the stop/resume plan for *synchronous* invocations (Fig. 4b);
+//!    augmented for job dependencies" — implemented in [`interleave`] (Fig. 4a).
+//!    The stop/resume interleaving of *synchronous* invocations (Fig. 4b) is the
+//!    host engine's held sync window (`sigmavp_core::shard`), which flushes
+//!    through the [`Pipeline`] built here;
 //! 2. "it combines identical kernel requests in the Job Queue into one single kernel
-//!    job, by using Kernel Coalescing" — implemented in [`coalesce`], together with
-//!    the contiguous-memory layout planning of Fig. 5 and the grid-alignment
-//!    analysis behind Eq. 9.
+//!    job, by using Kernel Coalescing" — the [`Coalesce`] pass groups the jobs, and
+//!    [`coalesce`] plans the contiguous-memory layout of Fig. 5. The Eq. 9
+//!    accounting of a merged launch lives in the shard's flush pricing and in
+//!    `sigmavp_obs::model`.
 //!
 //! Both transformations operate on [`Job`](sigmavp_ipc::queue::Job) lists drained
 //! from the [`JobQueue`](sigmavp_ipc::queue::JobQueue) and are *order-contract
@@ -32,7 +35,7 @@ pub mod policy;
 pub mod rebalance;
 pub mod wavepack;
 
-pub use coalesce::{CoalescePlan, MemoryLayout};
+pub use coalesce::MemoryLayout;
 pub use deps::{reorder_critical_path, JobDag};
 pub use interleave::reorder_async;
 pub use liveness::{quorum_met, quorum_threshold};

@@ -1,18 +1,16 @@
-//! Placement policies shared by the execution session and the fleet layer.
+//! Placement policies: where a VP goes inside a session and inside a fleet.
 //!
 //! Two placement mechanisms live here, both deliberately ignorant of what a
-//! "slot" is (a host GPU inside one session, or a whole session inside a
-//! fleet):
+//! "slot" is:
 //!
-//! * [`Placement`] — least-loaded slot routing with per-slot health. This is
-//!   the session's historical VP→device policy (least-loaded healthy slot,
-//!   ties to the lowest index, degraded fallback to the full set when nothing
-//!   is healthy), extracted so the session and the fleet share exactly one
-//!   implementation.
-//! * [`HashRing`] — consistent hashing with virtual nodes for *initial* fleet
-//!   placement: a stable key→slot map where retiring a slot only moves that
-//!   slot's keys, which keeps cross-session migrations (journal replays)
-//!   proportional to the failure, not to the fleet.
+//! * [`Placement`] — least-loaded slot routing with per-slot health. The
+//!   execution session routes VPs onto its host GPUs with it (least-loaded
+//!   healthy slot, ties to the lowest index, degraded fallback to the full set
+//!   when nothing is healthy).
+//! * [`HashRing`] — consistent hashing with virtual nodes, the fleet's
+//!   *initial* VP→session placement: a stable key→slot map where retiring a
+//!   slot only moves that slot's keys, which keeps cross-session migrations
+//!   (journal replays) proportional to the failure, not to the fleet.
 //!
 //! Like [`Rebalance`](crate::Rebalance), these are scheduling *policies*: they
 //! decide where work goes and leave the mechanics (connections, journal
@@ -20,10 +18,9 @@
 
 /// Least-loaded slot picker with per-slot health.
 ///
-/// Load is an abstract unit count — the session counts connected VPs, the
-/// fleet counts admitted work — and ties always break to the lowest index, so
-/// sequentially adding keys to an idle `Placement` yields the classic
-/// round-robin partition.
+/// Load is an abstract unit count — the session counts connected VPs — and
+/// ties always break to the lowest index, so sequentially adding keys to an
+/// idle `Placement` yields the classic round-robin partition.
 #[derive(Debug, Clone)]
 pub struct Placement {
     load: Vec<u64>,

@@ -362,11 +362,6 @@ impl Policy {
         self
     }
 
-    /// The sync-mode flush quorum as a fraction of eligible VPs.
-    pub fn sync_quorum_fraction(&self) -> f64 {
-        self.sync_quorum_pct as f64 / 100.0
-    }
-
     /// The sync-mode window timeout in simulated seconds, if enabled.
     pub fn sync_timeout_s(&self) -> Option<f64> {
         (self.sync_timeout_us > 0).then_some(self.sync_timeout_us as f64 / 1e6)
@@ -459,7 +454,7 @@ mod tests {
             .with_deadline(1e-3)
             .with_hang_windows(3);
         assert_eq!(p.sync_quorum_pct, 50);
-        assert!((p.sync_quorum_fraction() - 0.5).abs() < 1e-12);
+        assert_eq!(crate::quorum_threshold(4, p.sync_quorum_pct), 2, "half of 4 VPs");
         assert_eq!(p.sync_timeout_us, 20);
         assert_eq!(p.sync_timeout_s(), Some(2e-5));
         assert_eq!(p.deadline_us, 1_000);

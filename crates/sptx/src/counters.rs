@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use crate::isa::{BlockId, InstrClass};
+use crate::isa::BlockId;
 use crate::program::ClassCounts;
 
 /// Summary of the memory behaviour of one kernel execution, consumed by the GPU
@@ -26,14 +26,6 @@ pub struct MemoryTraceSummary {
 }
 
 impl MemoryTraceSummary {
-    /// Mean bytes per access; `0.0` when no accesses occurred.
-    pub fn mean_access_width(&self) -> f64 {
-        if self.accesses == 0 {
-            return 0.0;
-        }
-        (self.load_bytes + self.store_bytes) as f64 / self.accesses as f64
-    }
-
     /// Spatial-locality score in `[0, 1]`: 1 means every access hit an already
     /// touched 128-byte segment, 0 means every access opened a new segment.
     pub fn locality(&self) -> f64 {
@@ -147,28 +139,12 @@ impl ExecutionProfile {
         self.memory.accesses += other.memory.accesses;
         self.threads += other.threads;
     }
-
-    /// Per-thread average instruction count; `0.0` for an empty profile.
-    pub fn instructions_per_thread(&self) -> f64 {
-        if self.threads == 0 {
-            return 0.0;
-        }
-        self.counts.total() as f64 / self.threads as f64
-    }
-
-    /// Fraction of dynamic instructions in a class.
-    pub fn class_fraction(&self, class: InstrClass) -> f64 {
-        let total = self.counts.total();
-        if total == 0 {
-            return 0.0;
-        }
-        self.counts.get(class) as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::InstrClass;
 
     #[test]
     fn merge_accumulates_everything() {
@@ -195,7 +171,7 @@ mod tests {
         assert_eq!(a.iterations(BlockId(1)), 1);
         assert_eq!(a.memory.load_bytes, 96);
         assert_eq!(a.threads, 2);
-        assert_eq!(a.instructions_per_thread(), 9.0);
+        assert_eq!(a.counts.total() as f64 / a.threads as f64, 9.0, "instructions per thread");
     }
 
     #[test]
@@ -209,13 +185,6 @@ mod tests {
         let m =
             MemoryTraceSummary { load_bytes: 4, store_bytes: 0, unique_segments: 1, accesses: 10 };
         assert!((m.locality() - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn class_fraction_of_empty_profile_is_zero() {
-        let p = ExecutionProfile::new();
-        assert_eq!(p.class_fraction(InstrClass::Int), 0.0);
-        assert_eq!(p.instructions_per_thread(), 0.0);
     }
 
     #[test]
@@ -248,12 +217,5 @@ mod tests {
         a.absorb(b);
         assert_eq!(a.distinct(), 5);
         assert_eq!(SegmentSet::default().distinct(), 0);
-    }
-
-    #[test]
-    fn mean_access_width() {
-        let m =
-            MemoryTraceSummary { load_bytes: 12, store_bytes: 4, unique_segments: 1, accesses: 4 };
-        assert_eq!(m.mean_access_width(), 4.0);
     }
 }

@@ -196,11 +196,6 @@ impl UnaryOp {
     pub fn is_bitwise(self) -> bool {
         matches!(self, UnaryOp::Not)
     }
-
-    /// Whether this is a transcendental (multi-cycle SFU) operation.
-    pub fn is_transcendental(self) -> bool {
-        matches!(self, UnaryOp::Sqrt | UnaryOp::Exp | UnaryOp::Log | UnaryOp::Sin | UnaryOp::Cos)
-    }
 }
 
 /// Comparison operators for [`Instr::Setp`].

@@ -85,17 +85,6 @@ impl ClassCounts {
     pub fn iter(&self) -> impl Iterator<Item = (InstrClass, u64)> + '_ {
         InstrClass::ALL.iter().map(move |&c| (c, self.get(c)))
     }
-
-    /// Fraction of the total contributed by floating-point classes; `0.0` for an
-    /// empty count vector.
-    pub fn fp_fraction(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let fp = self.get(InstrClass::Fp32) + self.get(InstrClass::Fp64);
-        fp as f64 / total as f64
-    }
 }
 
 impl std::ops::Index<InstrClass> for ClassCounts {
@@ -254,15 +243,6 @@ mod tests {
         let s = m.scaled(10);
         assert_eq!(s.get(InstrClass::Fp32), 50);
         assert_eq!(s.total(), 60);
-    }
-
-    #[test]
-    fn fp_fraction() {
-        let mut c = ClassCounts::new();
-        assert_eq!(c.fp_fraction(), 0.0);
-        c.add(InstrClass::Fp64, 3);
-        c.add(InstrClass::Int, 1);
-        assert!((c.fp_fraction() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -89,13 +89,6 @@ impl Recorder {
         }
     }
 
-    /// Add `delta` to gauge `name`.
-    pub fn gauge_add(&self, name: &str, delta: f64) {
-        if let Some(core) = self.core {
-            core.registry.gauge(name).add(delta);
-        }
-    }
-
     /// Record a sample into histogram `name`.
     pub fn observe_s(&self, name: &str, seconds: f64) {
         if let Some(core) = self.core {
@@ -216,7 +209,7 @@ mod tests {
         assert!(r.enabled());
         r.count("jobs", 2);
         r.gauge_set("depth", 3.0);
-        r.gauge_add("depth", 1.0);
+        r.gauge_set("depth", 4.0);
         r.observe_s("wait", 1e-5);
         r.span(TimeDomain::Sim, Lane::Compute, "k", 0.0, 1e-3);
         r.counter_event(TimeDomain::Wall, Lane::JobQueue, "queue depth", 0.0, 1.0);

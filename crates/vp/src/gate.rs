@@ -1,9 +1,8 @@
 //! Guest-side stop/resume gate: the VP half of the Fig. 4b protocol.
 //!
-//! The host's re-scheduler stops a VP through
-//! [`VpControl`](sigmavp_ipc::control::VpControl) while it holds the VP's
-//! synchronous request in a cross-VP window; the VP thread must *tolerate* the
-//! deferred reply and park itself at its next scheduling point instead of
+//! The host's re-scheduler stops a VP through [`VpControl`] while it holds the
+//! VP's synchronous request in a cross-VP window; the VP thread must *tolerate*
+//! the deferred reply and park itself at its next scheduling point instead of
 //! treating the silence as a fault. [`VpGate`] packages that discipline: a VP
 //! service calls [`VpGate::pause_point`] wherever it is safe to be descheduled
 //! (before issuing a request, and while waiting out a quiet link), and the call

@@ -32,11 +32,6 @@ pub fn fig11_suite(scale: u32) -> Vec<Box<dyn Application>> {
     ]
 }
 
-/// Names of the suite applications, in order.
-pub fn suite_names(scale: u32) -> Vec<String> {
-    fig11_suite(scale).iter().map(|a| a.name().to_string()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -44,7 +39,7 @@ mod tests {
 
     #[test]
     fn suite_has_at_least_twenty_distinct_apps() {
-        let mut names = suite_names(1);
+        let mut names: Vec<String> = fig11_suite(1).iter().map(|a| a.name().to_string()).collect();
         assert!(names.len() >= 20);
         names.sort();
         let before = names.len();
