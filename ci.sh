@@ -28,6 +28,11 @@ step "cargo bench --no-run" cargo bench --workspace --no-run
 
 step "cargo test" cargo test -q --workspace
 
+# The benchmark path-depends on the workspace crates but is its own
+# workspace, so an API change can break it without any step above noticing.
+step "benchmark smoke (sigmabench --tiny)" \
+  env CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path sigmabench/Cargo.toml
+
 step "audit regression gate + chaos smoke + sync windows (results/baselines/audit.json)" \
   cargo run --release -p sigmavp-bench --bin audit -- --faults 42 --sync --check
 

@@ -4,6 +4,7 @@ pub mod channel {
     //! MPSC channels with the crossbeam-channel API shape.
 
     use std::sync::mpsc;
+    use std::time::Instant;
 
     /// Sending half of an unbounded channel.
     #[derive(Debug, Clone)]
@@ -30,6 +31,15 @@ pub mod channel {
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RecvError;
 
+    /// No message arrived before the deadline, or the channel is disconnected.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum RecvTimeoutError {
+        /// The deadline passed with no message.
+        Timeout,
+        /// All senders have been dropped and the channel is drained.
+        Disconnected,
+    }
+
     /// The receiver was dropped; the unsent message is returned.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
@@ -45,6 +55,16 @@ pub mod channel {
         /// Block until a message arrives or all senders disconnect.
         pub fn recv(&self) -> Result<T, RecvError> {
             self.inner.recv().map_err(|_| RecvError)
+        }
+
+        /// Block until a message arrives, all senders disconnect, or
+        /// `deadline` passes.
+        pub fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvTimeoutError> {
+            let timeout = deadline.saturating_duration_since(Instant::now());
+            self.inner.recv_timeout(timeout).map_err(|e| match e {
+                mpsc::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
+                mpsc::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
+            })
         }
 
         /// Return a pending message without blocking.
@@ -74,6 +94,27 @@ pub mod channel {
             assert_eq!(rx.recv(), Ok(7));
             drop(tx);
             assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+        }
+
+        #[test]
+        fn recv_deadline_times_out_delivers_and_sees_disconnect() {
+            use std::time::Duration;
+
+            let (tx, rx) = unbounded();
+            let soon = Instant::now() + Duration::from_millis(5);
+            assert_eq!(rx.recv_deadline(soon), Err(RecvTimeoutError::Timeout));
+            assert!(Instant::now() >= soon, "a timeout does not return early");
+            // A deadline already in the past still hands over a queued message.
+            tx.send(3).unwrap();
+            assert_eq!(rx.recv_deadline(soon), Ok(3));
+            let far = Instant::now() + Duration::from_secs(10);
+            let sender = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(5));
+                tx.send(4).unwrap();
+            });
+            assert_eq!(rx.recv_deadline(far), Ok(4));
+            sender.join().unwrap();
+            assert_eq!(rx.recv_deadline(far), Err(RecvTimeoutError::Disconnected));
         }
     }
 }

@@ -9,7 +9,9 @@
 //! the last observed time — how the paper's Re-scheduler consumes the
 //! Profiler's output), each polled batch is reordered with the scheduling
 //! [`Pipeline`](sigmavp_sched::Pipeline) and executed on the device the VP
-//! was routed to, and the response goes back over the wire.
+//! was routed to, and the response goes back over the wire. When a poll
+//! finds nothing, the dispatcher sleeps on a [`Doorbell`] that every guest
+//! endpoint rings on each send and on hang-up.
 //!
 //! Because guest calls are synchronous, a polled batch holds at most one
 //! request per VP — which is why the paper needs VP stop/resume to get deep
@@ -53,7 +55,7 @@ use sigmavp_ipc::codec;
 use sigmavp_ipc::control::VpControl;
 use sigmavp_ipc::message::{Envelope, Request, Response, ResponseEnvelope, VpId, WireParam};
 use sigmavp_ipc::queue::JobQueue;
-use sigmavp_ipc::transport::{pair, Transport, TransportCost};
+use sigmavp_ipc::transport::{pair, Doorbell, Transport, TransportCost};
 use sigmavp_ipc::IpcError;
 use sigmavp_sched::{Policy, RetryPolicy};
 use sigmavp_telemetry::{Lane, TimeDomain};
@@ -76,6 +78,13 @@ use rand::{Rng, SeedableRng};
 
 /// Wall-clock floor on every receive wait; see the comment at its use site.
 const WALL_DEADLINE_BACKSTOP: Duration = Duration::from_secs(2);
+
+/// Longest idle doorbell wait of the dispatcher. Guest sends and hang-ups
+/// ring the doorbell, so a fault-free run never needs this bound. It exists
+/// for response frames a host-side `FaultyTransport` holds back for an
+/// injected delay: only a poll of that endpoint releases them, and no ring
+/// marks when one falls due.
+const IDLE_WAIT_BOUND: Duration = Duration::from_millis(1);
 
 /// Guest-side [`GpuService`] over a real transport endpoint, with request-level
 /// retry.
@@ -496,9 +505,10 @@ impl DispatchedSigmaVp {
         // The stop/resume switchboard, shared by every VP thread and the
         // dispatcher (only exercised when the policy enables sync holds).
         let control = Arc::new(VpControl::new());
+        let doorbell = Doorbell::new();
         for (vp, app) in self.pending {
             shard.admit(vp, app.characteristics().coalescible);
-            let (vp_end, host_end) = pair(self.cost);
+            let (vp_end, host_end) = pair(self.cost, &doorbell);
             let (guest_transport, host_transport): (Box<dyn Transport>, Box<dyn Transport>) =
                 match &self.faults {
                     Some(plan) => {
@@ -572,7 +582,7 @@ impl DispatchedSigmaVp {
 
         let dispatcher = {
             let control = control.clone();
-            std::thread::spawn(move || run_dispatcher(shard, host_ends, &control))
+            std::thread::spawn(move || run_dispatcher(shard, host_ends, &control, &doorbell))
         };
 
         let (outcomes, failed_vps) = collect_vp_outcomes(handles);
@@ -635,6 +645,7 @@ fn run_dispatcher(
     mut shard: Shard,
     endpoints: Vec<(VpId, Box<dyn Transport>)>,
     control: &VpControl,
+    doorbell: &Doorbell,
 ) -> (SessionOutcome, DispatchStats) {
     let queue = JobQueue::new();
     let recorder = sigmavp_telemetry::recorder();
@@ -722,7 +733,10 @@ fn run_dispatcher(
         }
         let stats = shard.stats_mut();
         stats.max_window = stats.max_window.max(batch.len());
-        for planned in shard.plan(batch) {
+        // An empty batch plans to nothing and no migrations, so skip the
+        // pipeline rather than run every pass on it.
+        let planned = if batch.is_empty() { Vec::new() } else { shard.plan(batch) };
+        for planned in planned {
             let job = waiting.remove(&planned.id.0).expect("every planned job is waiting");
             // Plan boundary: refuse work whose *projected* completion already
             // overshoots its deadline, instead of burning device time on it.
@@ -752,10 +766,14 @@ fn run_dispatcher(
             // Wall-clock stall backstop (watchdog-gated): launches are parked
             // but no frame has arrived for a long wall interval, so every
             // unheld VP is wedged at once and simulated time is frozen.
-            if shard.stall_deadline().is_some_and(|at| Instant::now() >= at) {
+            let now = Instant::now();
+            if shard.stall_deadline().is_some_and(|at| now >= at) {
                 shard.backstop(&|_| true);
             }
-            std::thread::yield_now();
+            // Idle: sleep until a guest sends or hangs up, the backstop is
+            // due, or the bound for delayed fault frames runs out.
+            let wake = now + IDLE_WAIT_BOUND;
+            doorbell.wait_until(shard.stall_deadline().map_or(wake, |at| at.min(wake)));
         }
     }
     let stats = shard.stats_mut();

@@ -144,21 +144,13 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         }
     }
 
-    fn recv(&self) -> Result<Bytes, IpcError> {
-        loop {
-            self.flush_due();
-            if let Some(frame) = self.inner.try_recv()? {
-                return Ok(frame);
-            }
-            std::thread::sleep(Duration::from_micros(20));
-        }
-    }
-
     fn try_recv(&self) -> Result<Option<Bytes>, IpcError> {
         self.flush_due();
         self.inner.try_recv()
     }
 
+    /// Polls, unlike the inner transport's blocking wait: a raised
+    /// [`DropNotice`] and this end's own due delayed frames wake no channel.
     fn recv_deadline(&self, deadline: Instant) -> Result<Option<Bytes>, IpcError> {
         loop {
             self.flush_due();
@@ -193,7 +185,12 @@ mod tests {
     use super::*;
     use crate::plan::{FaultPlan, LinkDirection, LinkFaultConfig};
     use sigmavp_ipc::message::VpId;
-    use sigmavp_ipc::transport::shared_memory_pair;
+    use sigmavp_ipc::transport::{pair, Doorbell};
+
+    /// Far enough that no passing test ever reaches it.
+    fn far() -> Instant {
+        Instant::now() + Duration::from_secs(10)
+    }
 
     fn faulty(
         cfg: LinkFaultConfig,
@@ -202,7 +199,7 @@ mod tests {
         sigmavp_ipc::transport::ChannelTransport,
     ) {
         let plan = FaultPlan::seeded(3).with_link(cfg);
-        let (a, b) = shared_memory_pair();
+        let (a, b) = pair(TransportCost::shared_memory(), &Doorbell::new());
         (FaultyTransport::new(a, plan.link_faults(VpId(0), LinkDirection::GuestToHost)), b)
     }
 
@@ -229,7 +226,7 @@ mod tests {
             delay_s: 0.0,
         });
         tx.send(Bytes::from_static(b"0123456789")).unwrap();
-        let got = rx.recv().unwrap();
+        let got = rx.recv_deadline(far()).unwrap().expect("corrupt frame delivered");
         assert_eq!(got.len(), 5, "frame truncated to half its length");
     }
 
@@ -264,7 +261,7 @@ mod tests {
             tx.send(Bytes::from(vec![i; 4])).unwrap();
         }
         for i in 0..20u8 {
-            assert_eq!(rx.recv().unwrap(), Bytes::from(vec![i; 4]));
+            assert_eq!(rx.recv_deadline(far()).unwrap(), Some(Bytes::from(vec![i; 4])));
         }
     }
 
