@@ -28,6 +28,13 @@ step "cargo bench --no-run" cargo bench --workspace --no-run
 
 step "cargo test" cargo test -q --workspace
 
+# `cargo test` runs the differential fuzzers in debug, and optimised code
+# generation differs from debug (inlining, float op fusion, loop shapes);
+# run them again in release so the code that ships is the code they check.
+step "tier differentials (release)" \
+  cargo test --release -q -p sigmavp-sptx --test warp_differential --test parallel_differential \
+  -p sigmavp-workloads --test warp_suite
+
 # The benchmark path-depends on the workspace crates but is its own
 # workspace, so an API change can break it without any step above noticing.
 step "benchmark smoke (sigmabench --tiny)" \

@@ -10,11 +10,16 @@
 //! approach the core count; on a single core they bound the parallel
 //! engine's overhead instead. Warp rows should beat their scalar
 //! counterparts outright — that is the tier's whole claim.
+//!
+//! The `nbody` rows launch the suite's all-pairs N-body kernel on the warp
+//! tier: F32 loads, `sqrt`, `div` and fused `mad` over all-float register
+//! rows, so the tier's F32 lane loops have a standing microbench.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sigmavp_sptx::asm;
 use sigmavp_sptx::interp::{Interpreter, LaunchConfig, Memory, ParamValue};
 use sigmavp_sptx::Tier;
+use sigmavp_workloads::kernels;
 
 /// An iteration-heavy kernel: every thread runs a 64-trip escape loop over
 /// its own f64 cell, then stores the iteration count — compute-dominated,
@@ -69,5 +74,37 @@ fn bench_interp(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_interp);
+fn bench_nbody(c: &mut Criterion) {
+    // 256 bodies: two 128-thread CTAs, each body looping over all 256.
+    let program = kernels::nbody();
+    let n = 256u64;
+    let cfg = LaunchConfig::linear((n / 128) as u32, 128);
+    let (px, py, ax, ay) = (0, n * 4, 2 * n * 4, 3 * n * 4);
+    let params = [
+        ParamValue::Ptr(px),
+        ParamValue::Ptr(py),
+        ParamValue::Ptr(ax),
+        ParamValue::Ptr(ay),
+        ParamValue::I64(n as i64),
+        ParamValue::F32(0.5),
+    ];
+    let mut g = c.benchmark_group("interp");
+    g.sample_size(10);
+    for workers in [1u32, 4] {
+        let interp = Interpreter::new().with_tier(Tier::Warp).with_workers(workers);
+        g.bench_function(format!("nbody_256_warp_workers_{workers}"), |b| {
+            let mut mem = Memory::new((4 * n * 4) as usize);
+            for i in 0..n {
+                mem.write_f32(px + i * 4, (i % 16) as f32 * 0.75).unwrap();
+                mem.write_f32(py + i * 4, (i / 16) as f32 * 0.75).unwrap();
+            }
+            b.iter(|| {
+                interp.run(&program, &cfg, black_box(&params), &mut mem).expect("launch succeeds")
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_interp, bench_nbody);
 criterion_main!(benches);

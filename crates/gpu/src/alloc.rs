@@ -79,12 +79,6 @@ impl DeviceAllocator {
         self.capacity - self.free_bytes()
     }
 
-    /// Size of the largest contiguous free range — the biggest buffer Kernel
-    /// Coalescing could allocate right now.
-    pub fn largest_hole(&self) -> u64 {
-        self.free.iter().map(|r| r.len).max().unwrap_or(0)
-    }
-
     /// Allocate `len` bytes (rounded up to [`ALLOC_ALIGN`]), first-fit.
     ///
     /// # Errors
@@ -157,7 +151,6 @@ mod tests {
         a.free(b1).unwrap();
         a.free(b2).unwrap();
         assert_eq!(a.free_bytes(), 4096);
-        assert_eq!(a.largest_hole(), 4096);
         assert!(!a.is_live(b1) && !a.is_live(b2), "no live allocations");
     }
 
@@ -197,11 +190,9 @@ mod tests {
         a.free(b3).unwrap();
         // Two separate holes of one unit each.
         assert_eq!(a.free_bytes(), 2 * ALLOC_ALIGN);
-        assert_eq!(a.largest_hole(), ALLOC_ALIGN);
         assert!(a.alloc(2 * ALLOC_ALIGN).is_err());
         // Freeing the middle coalesces everything.
         a.free(b2).unwrap();
-        assert_eq!(a.largest_hole(), 3 * ALLOC_ALIGN);
         assert!(a.alloc(3 * ALLOC_ALIGN).is_ok());
     }
 
@@ -209,7 +200,6 @@ mod tests {
     fn zero_capacity_allocator_rejects_everything() {
         let mut a = DeviceAllocator::new(0);
         assert!(a.alloc(1).is_err());
-        assert_eq!(a.largest_hole(), 0);
     }
 
     #[test]

@@ -77,11 +77,6 @@ impl VpControl {
         self.state.lock().depth.get(&vp).copied().unwrap_or(0)
     }
 
-    /// Number of currently stopped VPs.
-    pub fn stopped_count(&self) -> usize {
-        self.state.lock().depth.values().filter(|&&d| d > 0).count()
-    }
-
     /// Total stop events issued so far (for IPC-overhead accounting).
     pub fn stop_events(&self) -> u64 {
         self.state.lock().stop_events
@@ -115,10 +110,8 @@ mod tests {
         assert!(!c.is_stopped(vp));
         c.stop(vp);
         assert!(c.is_stopped(vp));
-        assert_eq!(c.stopped_count(), 1);
         c.resume(vp);
         assert!(!c.is_stopped(vp));
-        assert_eq!(c.stopped_count(), 0);
     }
 
     #[test]

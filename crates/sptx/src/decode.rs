@@ -5,12 +5,12 @@
 //! re-derives its [`InstrClass`] and re-matches `Option<Reg>` index operands.
 //! The warp tier instead lowers each program **once** into a
 //! [`DecodedProgram`]: a flat, cache-friendly stream of [`DOp`]s with operands
-//! pre-resolved to dense `u16` register indices, immediates inlined as runtime
-//! [`Value`]s, per-op classes precomputed, and branch targets patched to block
-//! offsets in the stream. Because ΣVP's common case is many VPs launching the
-//! *same* kernels (that is what Kernel Coalescing exploits), decoded programs
-//! are held in a process-global cache keyed by program identity, so repeated
-//! launches decode zero times.
+//! pre-resolved to dense `u16` register indices, immediates inlined as raw
+//! lane bits plus their kind, per-op classes precomputed, and branch targets
+//! patched to block offsets in the stream. Because ΣVP's common case is many
+//! VPs launching the *same* kernels (that is what Kernel Coalescing exploits),
+//! decoded programs are held in a process-global cache keyed by program
+//! identity, so repeated launches decode zero times.
 //!
 //! The decoder also computes the per-block **immediate post-dominator**, which
 //! the warp tier uses as the reconvergence point for divergent branches (see
@@ -22,7 +22,6 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::interp::Value;
 use crate::isa::{BinOp, CmpOp, Imm, Instr, ScalarType, Special, Terminator, UnaryOp};
 use crate::program::KernelProgram;
 
@@ -53,8 +52,9 @@ pub(crate) enum DOp {
     Un { op: UnaryOp, ty: ScalarType, dst: u16, a: u16 },
     /// `dst = a * b + c` (fused).
     Mad { ty: ScalarType, dst: u16, a: u16, b: u16, c: u16 },
-    /// `dst = imm`, already lowered to a runtime [`Value`].
-    MovImm { dst: u16, val: Value },
+    /// `dst = imm`, already lowered to warp-lane bits: `f64::to_bits` when
+    /// `float`, else the `i64` pattern.
+    MovImm { dst: u16, bits: u64, float: bool },
     /// `dst = src`.
     Mov { dst: u16, src: u16 },
     /// `dst = (to) src`.
@@ -143,11 +143,11 @@ fn lower(program: &KernelProgram) -> Option<DecodedProgram> {
                     DOp::Mad { ty: *ty, dst: dst.0, a: a.0, b: b.0, c: c.0 }
                 }
                 Instr::MovImm { dst, imm } => {
-                    let val = match imm {
-                        Imm::F(v) => Value::F(*v),
-                        Imm::I(v) => Value::I(*v),
+                    let (bits, float) = match imm {
+                        Imm::F(v) => (v.to_bits(), true),
+                        Imm::I(v) => (*v as u64, false),
                     };
-                    DOp::MovImm { dst: dst.0, val }
+                    DOp::MovImm { dst: dst.0, bits, float }
                 }
                 Instr::Mov { dst, src } => DOp::Mov { dst: dst.0, src: src.0 },
                 Instr::Cvt { to, from, dst, src } => {

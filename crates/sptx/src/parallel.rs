@@ -87,26 +87,43 @@ struct Slot {
     mask: u8,
 }
 
-type SlotMap = HashMap<u64, Slot, BuildHasherDefault<SlotHasher>>;
+/// A block's private slots, keyed by 8-byte slot index, plus the index span
+/// they cover: a read wholly outside `lo..=hi` (say, an input array when the
+/// block has only written its output) skips the per-slot lookups.
+#[derive(Default)]
+struct Slots {
+    map: HashMap<u64, Slot, BuildHasherDefault<SlotHasher>>,
+    lo: u64,
+    hi: u64,
+}
 
 /// A block's view of global memory: launch-entry base bytes shadowed by the
 /// block's own writes, with every write also journaled for ordered replay.
 struct OverlayMem<'a> {
     base: &'a Memory,
-    slots: &'a mut SlotMap,
+    slots: &'a mut Slots,
     journal: &'a mut Vec<JournalEntry>,
 }
 
 impl OverlayMem<'_> {
     fn read<const W: usize>(&self, addr: u64) -> Result<[u8; W], SptxError> {
-        let a = self.base.check(addr, W as u64)?;
+        self.base.check(addr, W as u64)?;
+        Ok(self.read_unchecked(addr))
+    }
+
+    /// [`OverlayMem::read`] for a span the caller already bounds-checked
+    /// with [`DataSpace::check_span`]: the block's own writes still shadow
+    /// the base bytes.
+    fn read_unchecked<const W: usize>(&self, addr: u64) -> [u8; W] {
+        let a = addr as usize;
         let mut out = [0u8; W];
         out.copy_from_slice(&self.base.as_bytes()[a..a + W]);
-        if !self.slots.is_empty() {
-            let first = addr >> 3;
-            let last = (addr + W as u64 - 1) >> 3;
+        let first = addr >> 3;
+        let last = (addr + W as u64 - 1) >> 3;
+        let slots = &*self.slots;
+        if !slots.map.is_empty() && first <= slots.hi && last >= slots.lo {
             for s in first..=last {
-                if let Some(slot) = self.slots.get(&s) {
+                if let Some(slot) = slots.map.get(&s) {
                     for off in 0..8u64 {
                         if slot.mask & (1 << off) != 0 {
                             let p = s * 8 + off;
@@ -118,7 +135,7 @@ impl OverlayMem<'_> {
                 }
             }
         }
-        Ok(out)
+        out
     }
 
     fn write(&mut self, addr: u64, src: &[u8]) -> Result<(), SptxError> {
@@ -128,8 +145,14 @@ impl OverlayMem<'_> {
         self.journal.push(JournalEntry { addr, bytes, width: src.len() as u8 });
         let first = addr >> 3;
         let last = (addr + src.len() as u64 - 1) >> 3;
+        let slots = &mut *self.slots;
+        if slots.map.is_empty() {
+            (slots.lo, slots.hi) = (first, last);
+        } else {
+            (slots.lo, slots.hi) = (slots.lo.min(first), slots.hi.max(last));
+        }
         for s in first..=last {
-            let slot = self.slots.entry(s).or_insert(Slot { bytes: [0; 8], mask: 0 });
+            let slot = slots.map.entry(s).or_insert(Slot { bytes: [0; 8], mask: 0 });
             for off in 0..8u64 {
                 let p = s * 8 + off;
                 if p >= addr && p < addr + src.len() as u64 {
@@ -163,6 +186,15 @@ impl DataSpace for OverlayMem<'_> {
     }
     fn check_span(&self, addr: u64, len: u64) -> Result<(), SptxError> {
         self.base.check(addr, len).map(|_| ())
+    }
+    fn read_f32_unchecked(&self, addr: u64) -> f32 {
+        f32::from_le_bytes(self.read_unchecked(addr))
+    }
+    fn read_f64_unchecked(&self, addr: u64) -> f64 {
+        f64::from_le_bytes(self.read_unchecked(addr))
+    }
+    fn read_i64_unchecked(&self, addr: u64) -> i64 {
+        i64::from_le_bytes(self.read_unchecked(addr))
     }
 }
 
@@ -230,14 +262,14 @@ pub(crate) fn run_parallel(
         let log = &mut *guard;
         let mut regs = vec![Value::I(0); program.num_regs() as usize];
         let mut preds = vec![false; program.num_preds() as usize];
-        let mut slots = SlotMap::default();
+        let mut slots = Slots::default();
         let mut warp = dec.map(|d| (WarpExec::new(d), CtaCounters::new(program.blocks().len())));
         loop {
             let ctaid = next_block.fetch_add(1, Ordering::Relaxed);
             if ctaid >= grid || ctaid > min_error.load(Ordering::Acquire) {
                 break;
             }
-            slots.clear();
+            slots.map.clear();
             let journal_start = log.journal.len();
             let mut executed = 0u64;
             let mut error = None;
@@ -282,7 +314,7 @@ pub(crate) fn run_parallel(
                     }
                     CtaOutcome::Abort => {
                         log.journal.truncate(journal_start);
-                        slots.clear();
+                        slots.map.clear();
                         log.stats.fallback_ctas += 1;
                     }
                 }

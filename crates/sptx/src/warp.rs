@@ -1,14 +1,22 @@
 //! Stage 2 of the tiered interpreter: warp-lockstep execution.
 //!
 //! The warp tier runs all 32 threads of a warp in lockstep over the decoded
-//! op stream from [`crate::decode`]: registers live in SoA banks
-//! (`Vec<[Value; 32]>`), control flow uses a SIMT divergence stack with
+//! op stream from [`crate::decode`]. Registers live in untagged SoA banks:
+//! each register is one `[u64; 32]` row of raw lane bits plus a `u32` kind
+//! mask (bit `l` set: lane `l` holds an `f64`; clear: an `i64`). Every op but
+//! `mov` writes one kind to all its active lanes, so a row's kinds are uniform
+//! except where divergent paths that wrote different kinds reconverge. An op
+//! tests `kinds & mask` once per operand: all-float and all-int rows take
+//! plain fixed-width `f64`/`i64` lane loops with no per-lane tag branch, and
+//! only mixed rows convert lane by lane (exactly as [`Value::as_f64`] and
+//! [`Value::as_i64`] do, saturating `f64 as i64` included). Predicates are
+//! one `u32` lane mask each. Control flow uses a SIMT divergence stack with
 //! reconvergence at each branch's immediate post-dominator, and wide memory
 //! ops detect uniform/consecutive lane addresses so a coalesced access
 //! bounds-checks and touches the [`SegmentSet`] per segment instead of per
 //! lane. Dispatch, class accounting, and the budget check are paid once per
-//! op (or once per block) instead of once per lane, which is where the
-//! speedup over the scalar tier comes from.
+//! op (or once per block) instead of once per lane, and the lane loops
+//! themselves carry no per-lane type tag.
 //!
 //! # Byte-identity with the scalar tier
 //!
@@ -174,12 +182,111 @@ impl WarpStats {
     }
 }
 
-/// Reusable warp-execution state: SoA register/predicate banks, the SIMT
-/// stack, the per-warp store-slot map, and the lane address buffer. One of
-/// these lives per sequential launch or per parallel worker.
+/// One register's lanes as raw bits: `f64::to_bits` where the register's
+/// kind bit is set, the `i64` two's-complement pattern where it is clear.
+type Row = [u64; WARP_WIDTH];
+
+/// The warp's register file: one raw row and one kind mask per register.
+struct Bank {
+    rows: Vec<Row>,
+    /// Bit `l` of `kinds[r]` set: lane `l` of register `r` holds an `f64`.
+    kinds: Vec<u32>,
+}
+
+impl Bank {
+    fn reset(&mut self) {
+        self.rows.iter_mut().for_each(|r| *r = [0; WARP_WIDTH]);
+        self.kinds.iter_mut().for_each(|k| *k = 0);
+    }
+
+    /// Register `r` as floats over `mask`, each lane converted as
+    /// [`Value::as_f64`] would. Inactive lanes hold don't-care values.
+    #[inline(always)]
+    fn f(&self, r: usize, mask: u32) -> [f64; WARP_WIDTH] {
+        let (row, kinds) = (&self.rows[r], self.kinds[r]);
+        let mut out = [0.0; WARP_WIDTH];
+        if kinds & mask == mask {
+            for l in 0..WARP_WIDTH {
+                out[l] = f64::from_bits(row[l]);
+            }
+        } else if kinds & mask == 0 {
+            for l in 0..WARP_WIDTH {
+                out[l] = row[l] as i64 as f64;
+            }
+        } else {
+            for l in 0..WARP_WIDTH {
+                out[l] =
+                    if kinds >> l & 1 != 0 { f64::from_bits(row[l]) } else { row[l] as i64 as f64 };
+            }
+        }
+        out
+    }
+
+    /// Register `r` as integers over `mask`, each lane converted as
+    /// [`Value::as_i64`] would (float lanes saturate).
+    #[inline(always)]
+    fn i(&self, r: usize, mask: u32) -> [i64; WARP_WIDTH] {
+        let (row, kinds) = (&self.rows[r], self.kinds[r]);
+        let mut out = [0; WARP_WIDTH];
+        if kinds & mask == 0 {
+            for l in 0..WARP_WIDTH {
+                out[l] = row[l] as i64;
+            }
+        } else if kinds & mask == mask {
+            for l in 0..WARP_WIDTH {
+                out[l] = f64::from_bits(row[l]) as i64;
+            }
+        } else {
+            for l in 0..WARP_WIDTH {
+                out[l] =
+                    if kinds >> l & 1 != 0 { f64::from_bits(row[l]) as i64 } else { row[l] as i64 };
+            }
+        }
+        out
+    }
+
+    /// Write `bits(l)` to every active lane of register `d` and mark those
+    /// lanes `float` or int. Only active lanes run `bits`, so it may read
+    /// memory or divide with operands that are stale on inactive lanes.
+    #[inline(always)]
+    fn put(&mut self, d: usize, mask: u32, float: bool, bits: impl Fn(usize) -> u64) {
+        let row = &mut self.rows[d];
+        for_lanes!(mask, l, {
+            row[l] = bits(l);
+        });
+        if float {
+            self.kinds[d] |= mask;
+        } else {
+            self.kinds[d] &= !mask;
+        }
+    }
+
+    #[inline(always)]
+    fn put_f(&mut self, d: usize, mask: u32, f: impl Fn(usize) -> f64) {
+        self.put(d, mask, true, |l| f(l).to_bits());
+    }
+
+    #[inline(always)]
+    fn put_i(&mut self, d: usize, mask: u32, f: impl Fn(usize) -> i64) {
+        self.put(d, mask, false, |l| f(l) as u64);
+    }
+
+    /// Copy register `s` into `d` lane by lane, kinds included (`mov` is the
+    /// only op whose result kind can differ between lanes).
+    fn copy(&mut self, d: usize, s: usize, mask: u32) {
+        let src = self.rows[s];
+        self.put(d, mask, false, |l| src[l]);
+        self.kinds[d] = (self.kinds[d] & !mask) | (self.kinds[s] & mask);
+    }
+}
+
+/// Reusable warp-execution state: the register bank, predicate masks, the
+/// SIMT stack, the per-warp store-slot map, and the lane address buffer. One
+/// of these lives per sequential launch or per parallel worker.
 pub(crate) struct WarpExec {
-    regs: Vec<[Value; WARP_WIDTH]>,
-    preds: Vec<[bool; WARP_WIDTH]>,
+    bank: Bank,
+    /// Bit `l` of `preds[p]`: lane `l`'s predicate `p`.
+    preds: Vec<u32>,
     stack: Vec<Frame>,
     store_map: HashMap<u64, u8, BuildHasherDefault<SlotHasher>>,
     addrs: [u64; WARP_WIDTH],
@@ -187,9 +294,10 @@ pub(crate) struct WarpExec {
 
 impl WarpExec {
     pub(crate) fn new(dec: &DecodedProgram) -> Self {
+        let nregs = dec.num_regs as usize;
         Self {
-            regs: vec![[Value::I(0); WARP_WIDTH]; dec.num_regs as usize],
-            preds: vec![[false; WARP_WIDTH]; dec.num_preds as usize],
+            bank: Bank { rows: vec![[0; WARP_WIDTH]; nregs], kinds: vec![0; nregs] },
+            preds: vec![0; dec.num_preds as usize],
             stack: Vec::with_capacity(8),
             store_map: HashMap::default(),
             addrs: [0; WARP_WIDTH],
@@ -265,12 +373,8 @@ fn run_warp<M: DataSpace>(
     executed_before: u64,
     cta: &mut CtaCounters,
 ) -> Result<(), ()> {
-    for row in &mut exec.regs {
-        *row = [Value::I(0); WARP_WIDTH];
-    }
-    for row in &mut exec.preds {
-        *row = [false; WARP_WIDTH];
-    }
+    exec.bank.reset();
+    exec.preds.iter_mut().for_each(|p| *p = 0);
     exec.store_map.clear();
     exec.stack.clear();
     exec.stack.push(Frame { next: 0, mask: full_mask, reconv: EXIT });
@@ -300,7 +404,7 @@ fn run_warp<M: DataSpace>(
             cta.class_counts[dop.class as usize] += active;
             exec_op(
                 &dop.op,
-                &mut exec.regs,
+                &mut exec.bank,
                 &mut exec.preds,
                 &mut exec.store_map,
                 &mut exec.addrs,
@@ -326,13 +430,7 @@ fn run_warp<M: DataSpace>(
             }
             DTerm::CondBra { pred, if_true, if_false } => {
                 cta.class_counts[BRANCH_CLASS] += active;
-                let bank = &exec.preds[pred as usize];
-                let mut taken = 0u32;
-                for_lanes!(mask, l, {
-                    if bank[l] {
-                        taken |= 1 << l;
-                    }
-                });
+                let taken = exec.preds[pred as usize] & mask;
                 let top = exec.stack.last_mut().expect("frame present");
                 if taken == mask {
                     top.next = if_true;
@@ -358,103 +456,52 @@ fn run_warp<M: DataSpace>(
     }
 }
 
-/// Apply `f` over the float view of two register rows. The op/type dispatch
-/// happens once per warp-op at the call site; the lane loop only touches
-/// values. Rows are copied to the stack so the loop indexes fixed-size arrays
-/// without bounds checks (and `dst` may alias `a`/`b`).
+/// `dst = f(a, b)` over the float view of two registers. The op/type
+/// dispatch happens once per warp-op at the call site; the lane loop only
+/// touches values.
 #[inline(always)]
-fn bin_f(
-    regs: &mut [[Value; WARP_WIDTH]],
-    mask: u32,
-    dst: usize,
-    a: usize,
-    b: usize,
-    f: impl Fn(f64, f64) -> f64,
-) {
-    let ra = regs[a];
-    let rb = regs[b];
-    let rd = &mut regs[dst];
-    for_lanes!(mask, l, {
-        rd[l] = Value::F(f(ra[l].as_f64(), rb[l].as_f64()));
-    });
+fn bin_f(bank: &mut Bank, mask: u32, d: usize, a: usize, b: usize, f: impl Fn(f64, f64) -> f64) {
+    let (x, y) = (bank.f(a, mask), bank.f(b, mask));
+    bank.put_f(d, mask, |l| f(x[l], y[l]));
 }
 
 /// Integer-view counterpart of [`bin_f`].
 #[inline(always)]
-fn bin_i(
-    regs: &mut [[Value; WARP_WIDTH]],
-    mask: u32,
-    dst: usize,
-    a: usize,
-    b: usize,
-    f: impl Fn(i64, i64) -> i64,
-) {
-    let ra = regs[a];
-    let rb = regs[b];
-    let rd = &mut regs[dst];
-    for_lanes!(mask, l, {
-        rd[l] = Value::I(f(ra[l].as_i64(), rb[l].as_i64()));
-    });
+fn bin_i(bank: &mut Bank, mask: u32, d: usize, a: usize, b: usize, f: impl Fn(i64, i64) -> i64) {
+    let (x, y) = (bank.i(a, mask), bank.i(b, mask));
+    bank.put_i(d, mask, |l| f(x[l], y[l]));
 }
 
-/// Unary float op over one register row; `f` already folds in any F32
+/// Unary float op over one register; `f` already folds in any F32
 /// round-tripping.
 #[inline(always)]
-fn un_f(regs: &mut [[Value; WARP_WIDTH]], mask: u32, dst: usize, a: usize, f: impl Fn(f64) -> f64) {
-    let ra = regs[a];
-    let rd = &mut regs[dst];
-    for_lanes!(mask, l, {
-        rd[l] = Value::F(f(ra[l].as_f64()));
-    });
+fn un_f(bank: &mut Bank, mask: u32, d: usize, a: usize, f: impl Fn(f64) -> f64) {
+    let x = bank.f(a, mask);
+    bank.put_f(d, mask, |l| f(x[l]));
 }
 
-/// Predicate compare over the integer view of two rows.
+/// Set predicate `p` on the active lanes to `f(x[l], y[l])`.
 #[inline(always)]
-fn setp_i(
-    regs: &[[Value; WARP_WIDTH]],
-    pb: &mut [bool; WARP_WIDTH],
+fn setp<T: Copy>(
+    preds: &mut [u32],
+    p: usize,
     mask: u32,
-    a: usize,
-    b: usize,
-    f: impl Fn(i64, i64) -> bool,
+    x: &[T; WARP_WIDTH],
+    y: &[T; WARP_WIDTH],
+    f: impl Fn(T, T) -> bool,
 ) {
-    let ra = regs[a];
-    let rb = regs[b];
-    for_lanes!(mask, l, {
-        pb[l] = f(ra[l].as_i64(), rb[l].as_i64());
-    });
-}
-
-/// Predicate compare over the float view of two rows; `f32_round` pins F32
-/// semantics (compare the values after a round-trip through f32).
-#[inline(always)]
-fn setp_f(
-    regs: &[[Value; WARP_WIDTH]],
-    pb: &mut [bool; WARP_WIDTH],
-    mask: u32,
-    a: usize,
-    b: usize,
-    f32_round: bool,
-    f: impl Fn(f64, f64) -> bool,
-) {
-    let ra = regs[a];
-    let rb = regs[b];
-    if f32_round {
-        for_lanes!(mask, l, {
-            pb[l] = f(ra[l].as_f64() as f32 as f64, rb[l].as_f64() as f32 as f64);
-        });
-    } else {
-        for_lanes!(mask, l, {
-            pb[l] = f(ra[l].as_f64(), rb[l].as_f64());
-        });
+    let mut bits = 0u32;
+    for l in 0..WARP_WIDTH {
+        bits |= u32::from(f(x[l], y[l])) << l;
     }
+    preds[p] = (preds[p] & !mask) | (bits & mask);
 }
 
 #[allow(clippy::too_many_arguments)]
 fn exec_op<M: DataSpace>(
     op: &DOp,
-    regs: &mut [[Value; WARP_WIDTH]],
-    preds: &mut [[bool; WARP_WIDTH]],
+    bank: &mut Bank,
+    preds: &mut [u32],
     store_map: &mut HashMap<u64, u8, BuildHasherDefault<SlotHasher>>,
     addrs: &mut [u64; WARP_WIDTH],
     cta: &mut CtaCounters,
@@ -471,53 +518,53 @@ fn exec_op<M: DataSpace>(
             use crate::isa::BinOp as B;
             if op.is_bitwise() || ty == ScalarType::I64 {
                 match op {
-                    B::Add => bin_i(regs, mask, d, a, b, |x, y| x.wrapping_add(y)),
-                    B::Sub => bin_i(regs, mask, d, a, b, |x, y| x.wrapping_sub(y)),
-                    B::Mul => bin_i(regs, mask, d, a, b, |x, y| x.wrapping_mul(y)),
-                    B::Min => bin_i(regs, mask, d, a, b, i64::min),
-                    B::Max => bin_i(regs, mask, d, a, b, i64::max),
-                    B::And => bin_i(regs, mask, d, a, b, |x, y| x & y),
-                    B::Or => bin_i(regs, mask, d, a, b, |x, y| x | y),
-                    B::Xor => bin_i(regs, mask, d, a, b, |x, y| x ^ y),
-                    B::Shl => bin_i(regs, mask, d, a, b, |x, y| x.wrapping_shl(y as u32 & 63)),
-                    B::Shr => bin_i(regs, mask, d, a, b, |x, y| x.wrapping_shr(y as u32 & 63)),
+                    B::Add => bin_i(bank, mask, d, a, b, |x, y| x.wrapping_add(y)),
+                    B::Sub => bin_i(bank, mask, d, a, b, |x, y| x.wrapping_sub(y)),
+                    B::Mul => bin_i(bank, mask, d, a, b, |x, y| x.wrapping_mul(y)),
+                    B::Min => bin_i(bank, mask, d, a, b, i64::min),
+                    B::Max => bin_i(bank, mask, d, a, b, i64::max),
+                    B::And => bin_i(bank, mask, d, a, b, |x, y| x & y),
+                    B::Or => bin_i(bank, mask, d, a, b, |x, y| x | y),
+                    B::Xor => bin_i(bank, mask, d, a, b, |x, y| x ^ y),
+                    B::Shl => bin_i(bank, mask, d, a, b, |x, y| x.wrapping_shl(y as u32 & 63)),
+                    B::Shr => bin_i(bank, mask, d, a, b, |x, y| x.wrapping_shr(y as u32 & 63)),
                     B::Div | B::Rem => {
-                        // Fault-capable: a zero divisor in any lane aborts the
-                        // CTA; the scalar rerun reproduces the exact error.
+                        // Fault-capable: a zero divisor in any active lane
+                        // aborts the CTA; the scalar rerun reproduces the
+                        // exact error. Inactive lanes are never divided.
+                        let (x, y) = (bank.i(a, mask), bank.i(b, mask));
                         for_lanes!(mask, l, {
-                            let y = regs[b][l].as_i64();
-                            if y == 0 {
+                            if y[l] == 0 {
                                 return Err(());
                             }
-                            let x = regs[a][l].as_i64();
-                            regs[d][l] = Value::I(if matches!(op, B::Div) {
-                                x.wrapping_div(y)
-                            } else {
-                                x.wrapping_rem(y)
-                            });
                         });
+                        if matches!(op, B::Div) {
+                            bank.put(d, mask, false, |l| x[l].wrapping_div(y[l]) as u64);
+                        } else {
+                            bank.put(d, mask, false, |l| x[l].wrapping_rem(y[l]) as u64);
+                        }
                     }
                 }
             } else if ty == ScalarType::F32 {
                 match op {
-                    B::Add => bin_f(regs, mask, d, a, b, |x, y| ((x as f32) + (y as f32)) as f64),
-                    B::Sub => bin_f(regs, mask, d, a, b, |x, y| ((x as f32) - (y as f32)) as f64),
-                    B::Mul => bin_f(regs, mask, d, a, b, |x, y| ((x as f32) * (y as f32)) as f64),
-                    B::Div => bin_f(regs, mask, d, a, b, |x, y| ((x as f32) / (y as f32)) as f64),
-                    B::Rem => bin_f(regs, mask, d, a, b, |x, y| ((x as f32) % (y as f32)) as f64),
-                    B::Min => bin_f(regs, mask, d, a, b, |x, y| (x as f32).min(y as f32) as f64),
-                    B::Max => bin_f(regs, mask, d, a, b, |x, y| (x as f32).max(y as f32) as f64),
+                    B::Add => bin_f(bank, mask, d, a, b, |x, y| ((x as f32) + (y as f32)) as f64),
+                    B::Sub => bin_f(bank, mask, d, a, b, |x, y| ((x as f32) - (y as f32)) as f64),
+                    B::Mul => bin_f(bank, mask, d, a, b, |x, y| ((x as f32) * (y as f32)) as f64),
+                    B::Div => bin_f(bank, mask, d, a, b, |x, y| ((x as f32) / (y as f32)) as f64),
+                    B::Rem => bin_f(bank, mask, d, a, b, |x, y| ((x as f32) % (y as f32)) as f64),
+                    B::Min => bin_f(bank, mask, d, a, b, |x, y| (x as f32).min(y as f32) as f64),
+                    B::Max => bin_f(bank, mask, d, a, b, |x, y| (x as f32).max(y as f32) as f64),
                     _ => unreachable!("bitwise handled above"),
                 }
             } else {
                 match op {
-                    B::Add => bin_f(regs, mask, d, a, b, |x, y| x + y),
-                    B::Sub => bin_f(regs, mask, d, a, b, |x, y| x - y),
-                    B::Mul => bin_f(regs, mask, d, a, b, |x, y| x * y),
-                    B::Div => bin_f(regs, mask, d, a, b, |x, y| x / y),
-                    B::Rem => bin_f(regs, mask, d, a, b, |x, y| x % y),
-                    B::Min => bin_f(regs, mask, d, a, b, f64::min),
-                    B::Max => bin_f(regs, mask, d, a, b, f64::max),
+                    B::Add => bin_f(bank, mask, d, a, b, |x, y| x + y),
+                    B::Sub => bin_f(bank, mask, d, a, b, |x, y| x - y),
+                    B::Mul => bin_f(bank, mask, d, a, b, |x, y| x * y),
+                    B::Div => bin_f(bank, mask, d, a, b, |x, y| x / y),
+                    B::Rem => bin_f(bank, mask, d, a, b, |x, y| x % y),
+                    B::Min => bin_f(bank, mask, d, a, b, f64::min),
+                    B::Max => bin_f(bank, mask, d, a, b, f64::max),
                     _ => unreachable!("bitwise handled above"),
                 }
             }
@@ -525,37 +572,29 @@ fn exec_op<M: DataSpace>(
         DOp::Un { op, ty, dst, a } => {
             let (d, a) = (dst as usize, a as usize);
             use crate::isa::UnaryOp as U;
-            // `f32r` folds F32's round-trip (input and result through f32)
-            // into the hoisted closure, matching `eval_un` exactly.
+            // F32 folds its round-trip (input and result through f32) into
+            // the hoisted closure, matching `eval_un` exactly.
             macro_rules! un_float {
                 ($f:expr) => {{
                     if ty == ScalarType::F32 {
-                        un_f(regs, mask, d, a, |x| {
+                        un_f(bank, mask, d, a, |x| {
                             let v: f64 = $f(x as f32 as f64);
                             v as f32 as f64
                         })
                     } else {
-                        un_f(regs, mask, d, a, $f)
+                        un_f(bank, mask, d, a, $f)
                     }
                 }};
             }
             if op.is_bitwise() {
-                let ra = regs[a];
-                let rd = &mut regs[d];
-                for_lanes!(mask, l, {
-                    rd[l] = Value::I(!ra[l].as_i64());
-                });
+                let x = bank.i(a, mask);
+                bank.put_i(d, mask, |l| !x[l]);
             } else if ty == ScalarType::I64 && matches!(op, U::Neg | U::Abs) {
-                let ra = regs[a];
-                let rd = &mut regs[d];
+                let x = bank.i(a, mask);
                 if matches!(op, U::Neg) {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::I(ra[l].as_i64().wrapping_neg());
-                    });
+                    bank.put_i(d, mask, |l| x[l].wrapping_neg());
                 } else {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::I(ra[l].as_i64().wrapping_abs());
-                    });
+                    bank.put_i(d, mask, |l| x[l].wrapping_abs());
                 }
             } else {
                 match op {
@@ -572,107 +611,85 @@ fn exec_op<M: DataSpace>(
         }
         DOp::Mad { ty, dst, a, b, c } => {
             let (d, a, b, c) = (dst as usize, a as usize, b as usize, c as usize);
-            let ra = regs[a];
-            let rb = regs[b];
-            let rc = regs[c];
-            let rd = &mut regs[d];
             match ty {
                 ScalarType::F32 => {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::F(
-                            (ra[l].as_f64() as f32)
-                                .mul_add(rb[l].as_f64() as f32, rc[l].as_f64() as f32)
-                                as f64,
-                        );
-                    });
+                    // GPU mad fuses with a single rounding, like the scalar
+                    // tier's `f32::mul_add`.
+                    let (x, y, z) = (bank.f(a, mask), bank.f(b, mask), bank.f(c, mask));
+                    bank.put_f(d, mask, |l| (x[l] as f32).mul_add(y[l] as f32, z[l] as f32) as f64);
                 }
                 ScalarType::F64 => {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::F(ra[l].as_f64() * rb[l].as_f64() + rc[l].as_f64());
-                    });
+                    let (x, y, z) = (bank.f(a, mask), bank.f(b, mask), bank.f(c, mask));
+                    bank.put_f(d, mask, |l| x[l] * y[l] + z[l]);
                 }
                 ScalarType::I64 => {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::I(
-                            ra[l]
-                                .as_i64()
-                                .wrapping_mul(rb[l].as_i64())
-                                .wrapping_add(rc[l].as_i64()),
-                        );
-                    });
+                    let (x, y, z) = (bank.i(a, mask), bank.i(b, mask), bank.i(c, mask));
+                    bank.put_i(d, mask, |l| x[l].wrapping_mul(y[l]).wrapping_add(z[l]));
                 }
             }
         }
-        DOp::MovImm { dst, val } => {
-            let dst = dst as usize;
-            for_lanes!(mask, l, {
-                regs[dst][l] = val;
-            });
-        }
+        DOp::MovImm { dst, bits, float } => bank.put(dst as usize, mask, float, |_| bits),
         DOp::Mov { dst, src } => {
-            let (dst, src) = (dst as usize, src as usize);
             if dst != src {
-                let rs = regs[src];
-                let rd = &mut regs[dst];
-                for_lanes!(mask, l, {
-                    rd[l] = rs[l];
-                });
+                bank.copy(dst as usize, src as usize, mask);
             }
         }
         DOp::Cvt { to, from, dst, src } => {
             let (d, s) = (dst as usize, src as usize);
-            let rs = regs[s];
-            let rd = &mut regs[d];
             match (from, to) {
                 (_, ScalarType::I64) => {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::I(rs[l].as_i64());
-                    });
+                    let x = bank.i(s, mask);
+                    bank.put_i(d, mask, |l| x[l]);
                 }
                 (ScalarType::I64, ScalarType::F32) => {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::F(rs[l].as_i64() as f32 as f64);
-                    });
+                    let x = bank.i(s, mask);
+                    bank.put_f(d, mask, |l| x[l] as f32 as f64);
                 }
                 (ScalarType::I64, ScalarType::F64) => {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::F(rs[l].as_i64() as f64);
-                    });
+                    let x = bank.i(s, mask);
+                    bank.put_f(d, mask, |l| x[l] as f64);
                 }
                 (_, ScalarType::F32) => {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::F(rs[l].as_f64() as f32 as f64);
-                    });
+                    let x = bank.f(s, mask);
+                    bank.put_f(d, mask, |l| x[l] as f32 as f64);
                 }
                 (_, ScalarType::F64) => {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::F(rs[l].as_f64());
-                    });
+                    let x = bank.f(s, mask);
+                    bank.put_f(d, mask, |l| x[l]);
                 }
             }
         }
         DOp::Setp { cmp, ty, pred, a, b } => {
             let (p, a, b) = (pred as usize, a as usize, b as usize);
             use crate::isa::CmpOp as C;
-            let pb = &mut preds[p];
             match ty {
-                ScalarType::I64 => match cmp {
-                    C::Eq => setp_i(regs, pb, mask, a, b, |x, y| x == y),
-                    C::Ne => setp_i(regs, pb, mask, a, b, |x, y| x != y),
-                    C::Lt => setp_i(regs, pb, mask, a, b, |x, y| x < y),
-                    C::Le => setp_i(regs, pb, mask, a, b, |x, y| x <= y),
-                    C::Gt => setp_i(regs, pb, mask, a, b, |x, y| x > y),
-                    C::Ge => setp_i(regs, pb, mask, a, b, |x, y| x >= y),
-                },
-                ScalarType::F32 | ScalarType::F64 => {
-                    let r32 = ty == ScalarType::F32;
+                ScalarType::I64 => {
+                    let (x, y) = (bank.i(a, mask), bank.i(b, mask));
                     match cmp {
-                        C::Eq => setp_f(regs, pb, mask, a, b, r32, |x, y| x == y),
-                        C::Ne => setp_f(regs, pb, mask, a, b, r32, |x, y| x != y),
-                        C::Lt => setp_f(regs, pb, mask, a, b, r32, |x, y| x < y),
-                        C::Le => setp_f(regs, pb, mask, a, b, r32, |x, y| x <= y),
-                        C::Gt => setp_f(regs, pb, mask, a, b, r32, |x, y| x > y),
-                        C::Ge => setp_f(regs, pb, mask, a, b, r32, |x, y| x >= y),
+                        C::Eq => setp(preds, p, mask, &x, &y, |x, y| x == y),
+                        C::Ne => setp(preds, p, mask, &x, &y, |x, y| x != y),
+                        C::Lt => setp(preds, p, mask, &x, &y, |x, y| x < y),
+                        C::Le => setp(preds, p, mask, &x, &y, |x, y| x <= y),
+                        C::Gt => setp(preds, p, mask, &x, &y, |x, y| x > y),
+                        C::Ge => setp(preds, p, mask, &x, &y, |x, y| x >= y),
+                    }
+                }
+                ScalarType::F32 | ScalarType::F64 => {
+                    let (mut x, mut y) = (bank.f(a, mask), bank.f(b, mask));
+                    if ty == ScalarType::F32 {
+                        // F32 compares the values after a round-trip through f32.
+                        for l in 0..WARP_WIDTH {
+                            x[l] = x[l] as f32 as f64;
+                            y[l] = y[l] as f32 as f64;
+                        }
+                    }
+                    match cmp {
+                        C::Eq => setp(preds, p, mask, &x, &y, |x, y| x == y),
+                        C::Ne => setp(preds, p, mask, &x, &y, |x, y| x != y),
+                        C::Lt => setp(preds, p, mask, &x, &y, |x, y| x < y),
+                        C::Le => setp(preds, p, mask, &x, &y, |x, y| x <= y),
+                        C::Gt => setp(preds, p, mask, &x, &y, |x, y| x > y),
+                        C::Ge => setp(preds, p, mask, &x, &y, |x, y| x >= y),
                     }
                 }
             }
@@ -680,48 +697,38 @@ fn exec_op<M: DataSpace>(
         DOp::ReadSpecial { dst, special } => {
             let dst = dst as usize;
             match special {
-                Special::TidX => {
-                    for_lanes!(mask, l, {
-                        regs[dst][l] = Value::I(base_tid as i64 + l as i64);
-                    });
-                }
+                Special::TidX => bank.put_i(dst, mask, |l| base_tid as i64 + l as i64),
                 Special::GlobalTid => {
                     let base = ctaid as i64 * cfg.block_dim as i64 + base_tid as i64;
-                    for_lanes!(mask, l, {
-                        regs[dst][l] = Value::I(base + l as i64);
-                    });
+                    bank.put_i(dst, mask, |l| base + l as i64);
                 }
                 Special::NTidX | Special::CtaIdX | Special::NCtaIdX => {
-                    let v = Value::I(match special {
+                    let v = match special {
                         Special::NTidX => cfg.block_dim as i64,
                         Special::CtaIdX => ctaid as i64,
                         _ => cfg.grid_dim as i64,
-                    });
-                    for_lanes!(mask, l, {
-                        regs[dst][l] = v;
-                    });
+                    };
+                    bank.put_i(dst, mask, |_| v);
                 }
             }
         }
         DOp::LdParam { dst, index } => {
-            let dst = dst as usize;
             let Some(p) = params.get(index as usize) else {
                 return Err(());
             };
-            let v = match *p {
-                ParamValue::Ptr(a) => Value::I(a as i64),
-                ParamValue::F64(v) => Value::F(v),
-                ParamValue::F32(v) => Value::F(v as f64),
-                ParamValue::I64(v) => Value::I(v),
+            let (bits, float) = match *p {
+                ParamValue::Ptr(a) => (a, false),
+                ParamValue::F64(v) => (v.to_bits(), true),
+                ParamValue::F32(v) => ((v as f64).to_bits(), true),
+                ParamValue::I64(v) => (v as u64, false),
             };
-            for_lanes!(mask, l, {
-                regs[dst][l] = v;
-            });
+            bank.put(dst as usize, mask, float, |_| bits);
         }
         DOp::Ld { ty, dst, base, index, offset } => {
             let dst = dst as usize;
             let w = ty.width();
-            let (uniform, consec, first) = lane_addrs(regs, addrs, base, index, offset, w, mask);
+            let float = ty != ScalarType::I64;
+            let (uniform, consec, first) = lane_addrs(bank, addrs, base, index, offset, w, mask);
             let active = mask.count_ones() as u64;
             cta.trace.accesses += active;
             cta.trace.load_bytes += w * active;
@@ -731,46 +738,44 @@ fn exec_op<M: DataSpace>(
             if uniform {
                 cta.uniform_loads += 1;
                 cta.segments.insert(first / MEMORY_SEGMENT_BYTES);
-                let v = load_val(mem, ty, first).map_err(drop)?;
-                for_lanes!(mask, l, {
-                    regs[dst][l] = v;
-                });
+                let bits = load_bits(mem, ty, first).map_err(drop)?;
+                bank.put(dst, mask, float, |_| bits);
             } else if consec {
-                // One bounds check covers the whole coalesced span; segment
-                // inserts hit SegmentSet's last-value fast path. The type
-                // dispatch is hoisted out of the lane loop.
-                mem.check_span(first, active * w).map_err(drop)?;
+                // One bounds check covers the whole coalesced span. Lane
+                // addresses step by at most 8 bytes, so every segment from
+                // the first lane's to the last lane's holds some lane's
+                // address. The type dispatch is hoisted out of the lane loop.
+                let len = active * w;
+                mem.check_span(first, len).map_err(drop)?;
+                let last = first + (active - 1) * w;
+                for s in first / MEMORY_SEGMENT_BYTES..=last / MEMORY_SEGMENT_BYTES {
+                    cta.segments.insert(s);
+                }
+                let m: &M = mem;
                 match ty {
-                    ScalarType::F32 => {
-                        for_lanes!(mask, l, {
-                            cta.segments.insert(addrs[l] / MEMORY_SEGMENT_BYTES);
-                            regs[dst][l] = Value::F(mem.read_f32_unchecked(addrs[l]) as f64);
-                        });
-                    }
+                    ScalarType::F32 => bank.put(dst, mask, true, |l| {
+                        (m.read_f32_unchecked(addrs[l]) as f64).to_bits()
+                    }),
                     ScalarType::F64 => {
-                        for_lanes!(mask, l, {
-                            cta.segments.insert(addrs[l] / MEMORY_SEGMENT_BYTES);
-                            regs[dst][l] = Value::F(mem.read_f64_unchecked(addrs[l]));
-                        });
+                        bank.put(dst, mask, true, |l| m.read_f64_unchecked(addrs[l]).to_bits())
                     }
                     ScalarType::I64 => {
-                        for_lanes!(mask, l, {
-                            cta.segments.insert(addrs[l] / MEMORY_SEGMENT_BYTES);
-                            regs[dst][l] = Value::I(mem.read_i64_unchecked(addrs[l]));
-                        });
+                        bank.put(dst, mask, false, |l| m.read_i64_unchecked(addrs[l]) as u64)
                     }
                 }
             } else {
+                let mut vals = [0u64; WARP_WIDTH];
                 for_lanes!(mask, l, {
                     cta.segments.insert(addrs[l] / MEMORY_SEGMENT_BYTES);
-                    regs[dst][l] = load_val(mem, ty, addrs[l]).map_err(drop)?;
+                    vals[l] = load_bits(mem, ty, addrs[l]).map_err(drop)?;
                 });
+                bank.put(dst, mask, float, |l| vals[l]);
             }
         }
         DOp::St { ty, base, index, offset, src } => {
             let src = src as usize;
             let w = ty.width();
-            let (_, _, _) = lane_addrs(regs, addrs, base, index, offset, w, mask);
+            let (_, _, _) = lane_addrs(bank, addrs, base, index, offset, w, mask);
             let active = mask.count_ones() as u64;
             cta.trace.accesses += active;
             cta.trace.store_bytes += w * active;
@@ -789,16 +794,27 @@ fn exec_op<M: DataSpace>(
                     s += 1;
                 }
             });
-            for_lanes!(mask, l, {
-                cta.segments.insert(addrs[l] / MEMORY_SEGMENT_BYTES);
-                let v = regs[src][l];
-                match ty {
-                    ScalarType::F32 => mem.write_f32(addrs[l], v.as_f64() as f32),
-                    ScalarType::F64 => mem.write_f64(addrs[l], v.as_f64()),
-                    ScalarType::I64 => mem.write_i64(addrs[l], v.as_i64()),
+            match ty {
+                ScalarType::F32 | ScalarType::F64 => {
+                    let v = bank.f(src, mask);
+                    for_lanes!(mask, l, {
+                        cta.segments.insert(addrs[l] / MEMORY_SEGMENT_BYTES);
+                        if ty == ScalarType::F32 {
+                            mem.write_f32(addrs[l], v[l] as f32)
+                        } else {
+                            mem.write_f64(addrs[l], v[l])
+                        }
+                        .map_err(drop)?;
+                    });
                 }
-                .map_err(drop)?;
-            });
+                ScalarType::I64 => {
+                    let v = bank.i(src, mask);
+                    for_lanes!(mask, l, {
+                        cta.segments.insert(addrs[l] / MEMORY_SEGMENT_BYTES);
+                        mem.write_i64(addrs[l], v[l]).map_err(drop)?;
+                    });
+                }
+            }
         }
     }
     Ok(())
@@ -810,7 +826,7 @@ fn exec_op<M: DataSpace>(
 /// width.
 #[inline]
 fn lane_addrs(
-    regs: &[[Value; WARP_WIDTH]],
+    bank: &Bank,
     addrs: &mut [u64; WARP_WIDTH],
     base: u16,
     index: u16,
@@ -818,18 +834,15 @@ fn lane_addrs(
     width: u64,
     mask: u32,
 ) -> (bool, bool, u64) {
-    let base = base as usize;
-    let has_index = index != NO_INDEX;
-    let index = index as usize;
+    let bv = bank.i(base as usize, mask);
+    let iv = if index != NO_INDEX { bank.i(index as usize, mask) } else { [0; WARP_WIDTH] };
     let mut first = 0u64;
     let mut prev = 0u64;
     let mut started = false;
     let mut uniform = true;
     let mut consec = true;
     for_lanes!(mask, l, {
-        let bv = regs[base][l].as_i64();
-        let iv = if has_index { regs[index][l].as_i64() } else { 0 };
-        let addr = bv.wrapping_add(iv.wrapping_mul(width as i64)).wrapping_add(offset) as u64;
+        let addr = bv[l].wrapping_add(iv[l].wrapping_mul(width as i64)).wrapping_add(offset) as u64;
         addrs[l] = addr;
         if started {
             uniform &= addr == first;
@@ -866,11 +879,12 @@ fn check_load_hazards(
     Ok(())
 }
 
-fn load_val<M: DataSpace>(mem: &M, ty: ScalarType, addr: u64) -> Result<Value, SptxError> {
+/// One checked load as raw lane bits of the kind `ty` loads into.
+fn load_bits<M: DataSpace>(mem: &M, ty: ScalarType, addr: u64) -> Result<u64, SptxError> {
     Ok(match ty {
-        ScalarType::F32 => Value::F(mem.read_f32(addr)? as f64),
-        ScalarType::F64 => Value::F(mem.read_f64(addr)?),
-        ScalarType::I64 => Value::I(mem.read_i64(addr)?),
+        ScalarType::F32 => (mem.read_f32(addr)? as f64).to_bits(),
+        ScalarType::F64 => mem.read_f64(addr)?.to_bits(),
+        ScalarType::I64 => mem.read_i64(addr)? as u64,
     })
 }
 

@@ -5,7 +5,8 @@
 //! [`ExecutionProfile`] (class counts, per-block iteration counts, memory
 //! trace, unique segments), same final memory bytes, same error value —
 //! across success, divergence-heavy, faulting, intra-warp-hazard and
-//! budget-exhaustion outcomes.
+//! budget-exhaustion outcomes, and on registers whose lanes hold different
+//! kinds (f64 in some, i64 in others) after divergent paths reconverge.
 
 use proptest::prelude::*;
 
@@ -168,6 +169,95 @@ fn build_divergent_kernel(
     b.build().expect("generated kernel is structurally valid")
 }
 
+/// A kernel whose scratch registers reach the merge block holding different
+/// kinds per lane: a divergent branch on `tid & mask` writes register `i`
+/// as an f64 on one side and as an i64 on the other (`then_floats` bit `i`
+/// picks which), with per-lane values. The mixed rows then feed `ops` and an
+/// I64 `setp` whose divergent branch runs a `mov` plus `yes_ops`, or
+/// `no_ops`, before every register is stored (even ones as f64, odd ones as
+/// i64, so both conversions reach memory).
+#[allow(clippy::too_many_arguments)]
+fn build_mixed_kind_kernel(
+    then_floats: u32,
+    mask: i64,
+    ops: &[RandomOp],
+    mov: (usize, usize),
+    cmp: (usize, usize),
+    yes_ops: &[RandomOp],
+    no_ops: &[RandomOp],
+    scale: f64,
+) -> KernelProgram {
+    let mut b = ProgramBuilder::new("warp_mixed");
+    let (gtid, tid) = (b.reg(), b.reg());
+    b.read_special(gtid, Special::GlobalTid).read_special(tid, Special::TidX);
+    let regs: Vec<Reg> = (0..NREGS).map(|_| b.reg()).collect();
+    let (selr, zero, k) = (b.reg(), b.reg(), b.reg());
+    let p = b.pred();
+    b.mov_imm_i(selr, mask)
+        .binop(BinOp::And, ScalarType::I64, selr, tid, selr)
+        .mov_imm_i(zero, 0)
+        .setp(CmpOp::Ne, ScalarType::I64, p, selr, zero);
+    let then_blk = b.declare_block();
+    let else_blk = b.declare_block();
+    let merge = b.declare_block();
+    b.cond_bra(p, then_blk, else_blk);
+
+    // Register i = gtid * (i + 2) - 7 as an i64, or the same scaled into an
+    // f64, so every lane holds a different value of the side's kind.
+    let write_side = |b: &mut ProgramBuilder, floats: u32| {
+        for (i, r) in regs.iter().enumerate() {
+            b.mov_imm_i(k, i as i64 + 2)
+                .binop(BinOp::Mul, ScalarType::I64, *r, gtid, k)
+                .mov_imm_i(k, -7)
+                .binop(BinOp::Add, ScalarType::I64, *r, *r, k);
+            if floats >> i & 1 != 0 {
+                b.cvt(ScalarType::F64, ScalarType::I64, *r, *r).mov_imm_f(k, scale).binop(
+                    BinOp::Mul,
+                    ScalarType::F64,
+                    *r,
+                    *r,
+                    k,
+                );
+            }
+        }
+    };
+    b.switch_to(then_blk);
+    write_side(&mut b, then_floats);
+    b.bra(merge);
+    b.switch_to(else_blk);
+    write_side(&mut b, !then_floats);
+    b.bra(merge);
+
+    b.switch_to(merge);
+    emit(&mut b, &regs, ops);
+    let q = b.pred();
+    let yes = b.declare_block();
+    let no = b.declare_block();
+    let store = b.declare_block();
+    b.setp(CmpOp::Lt, ScalarType::I64, q, regs[cmp.0], regs[cmp.1]).cond_bra(q, yes, no);
+    b.switch_to(yes);
+    // Under a partial mask, so the copy must keep the inactive lanes' kinds.
+    b.mov(regs[mov.0], regs[mov.1]);
+    emit(&mut b, &regs, yes_ops);
+    b.bra(store);
+    b.switch_to(no);
+    emit(&mut b, &regs, no_ops);
+    b.bra(store);
+
+    b.switch_to(store);
+    let (outbase, stride, addr) = (b.reg(), b.reg(), b.reg());
+    b.ld_param(outbase, 1)
+        .mov_imm_i(stride, (NREGS * 8) as i64)
+        .binop(BinOp::Mul, ScalarType::I64, addr, gtid, stride)
+        .binop(BinOp::Add, ScalarType::I64, addr, addr, outbase);
+    for (i, r) in regs.iter().enumerate() {
+        let ty = if i % 2 == 0 { ScalarType::F64 } else { ScalarType::I64 };
+        b.st(ty, addr, (i * 8) as i64, *r);
+    }
+    b.ret();
+    b.build().expect("generated kernel is structurally valid")
+}
+
 /// Run `program` at the given tier and worker count on a fresh memory image
 /// (input region seeded deterministically), returning the outcome and the
 /// final memory bytes.
@@ -312,6 +402,37 @@ proptest! {
         let cfg = LaunchConfig::linear(grid, block);
         assert_tiers_agree(&program, &cfg, None, "intra-warp hazard");
     }
+
+    #[test]
+    fn mixed_kind_rows_match_scalar(
+        then_floats in 0u32..(1 << NREGS),
+        mask in 1i64..8,
+        ops in proptest::collection::vec(arb_op(), 0..10),
+        mov in (0usize..NREGS, 0usize..NREGS),
+        cmp in (0usize..NREGS, 0usize..NREGS),
+        yes_ops in proptest::collection::vec(arb_op(), 0..4),
+        no_ops in proptest::collection::vec(arb_op(), 0..4),
+        scale in prop_oneof![Just(0.5f64), Just(-1.0e19), Just(3.0e-3)],
+        grid in 1u32..5,
+        block in 1u32..70,
+    ) {
+        // The branch on `tid & mask` splits every warp with a lane where it
+        // is zero and one where it is not, so the merge block sees rows with
+        // both kinds. `scale` reaches f64 values past the i64 range, so the
+        // saturating f64 -> i64 conversion is exercised too.
+        let program = build_mixed_kind_kernel(
+            then_floats, mask, &ops, mov, cmp, &yes_ops, &no_ops, scale,
+        );
+        let cfg = LaunchConfig::linear(grid, block);
+        let (scalar, scalar_mem) = run_tier(&program, &cfg, Tier::Scalar, 1, None);
+        let scalar = scalar.expect("race-free random kernel executes");
+        for workers in WORKER_COUNTS {
+            let (warp, warp_mem) = run_tier(&program, &cfg, Tier::Warp, workers, None);
+            let warp = warp.expect("warp execution of the same kernel succeeds");
+            prop_assert_eq!(&scalar, &warp, "profile diverged at workers={}", workers);
+            prop_assert_eq!(&scalar_mem, &warp_mem, "memory diverged at workers={}", workers);
+        }
+    }
 }
 
 /// A kernel whose per-thread instruction count varies with `tid` (divergent
@@ -406,5 +527,35 @@ fn fixed_trip_loops_match_scalar() {
     for (grid, block) in [(1, 1), (1, 32), (2, 33), (4, 64), (2, 100)] {
         let cfg = LaunchConfig::linear(grid, block);
         assert_tiers_agree(&program, &cfg, None, "fixed-trip loop");
+    }
+}
+
+#[test]
+fn consecutive_load_reads_an_earlier_warps_stores() {
+    // Each CTA owns `block + 32` f64 slots. Thread `tid` loads slot `tid`
+    // (consecutive across the warp) and stores twice that plus one to slot
+    // `tid + 32`, so every warp after the first loads exactly the slots the
+    // warp before it stored. On the block-parallel path those loads must see
+    // the CTA's own overlay, not the launch-entry base memory.
+    let mut b = ProgramBuilder::new("warp_overlay");
+    let (tid, cta, ntid, idx, k, base, v) =
+        (b.reg(), b.reg(), b.reg(), b.reg(), b.reg(), b.reg(), b.reg());
+    b.read_special(tid, Special::TidX)
+        .read_special(cta, Special::CtaIdX)
+        .read_special(ntid, Special::NTidX)
+        .mov_imm_i(k, 32)
+        .binop(BinOp::Add, ScalarType::I64, idx, ntid, k)
+        .binop(BinOp::Mul, ScalarType::I64, idx, idx, cta)
+        .binop(BinOp::Add, ScalarType::I64, idx, idx, tid)
+        .ld_param(base, 0)
+        .ld_indexed(ScalarType::F64, v, base, idx, 0)
+        .mov_imm_f(k, 2.0)
+        .mad(ScalarType::F64, v, v, k, k)
+        .st_indexed(ScalarType::F64, base, idx, 32 * 8, v)
+        .ret();
+    let program = b.build().unwrap();
+    for (grid, block) in [(2, 64), (3, 96), (2, 40), (4, 33)] {
+        let cfg = LaunchConfig::linear(grid, block);
+        assert_tiers_agree(&program, &cfg, None, "overlay read");
     }
 }

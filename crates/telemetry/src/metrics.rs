@@ -54,23 +54,6 @@ impl Gauge {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Add `delta` (compare-and-swap loop).
-    pub fn add(&self, delta: f64) {
-        let mut current = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + delta).to_bits();
-            match self.bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
@@ -380,8 +363,7 @@ mod tests {
         assert_eq!(c.get(), 10);
         let g = Gauge::new();
         g.set(2.5);
-        g.add(-0.5);
-        assert!((g.get() - 2.0).abs() < 1e-12);
+        assert_eq!(g.get(), 2.5);
     }
 
     #[test]
